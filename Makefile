@@ -5,7 +5,7 @@
 # budget so regressions in the never-panic contract surface in CI, and the
 # coverage step enforces a floor on the packages the fault/degradation
 # contract lives in.
-.PHONY: ci vet build test race bench bench-cache bench-fuse bench-auto bench-shard bench-profile fuzz cover serve
+.PHONY: ci vet build test race bench bench-cache bench-fuse bench-auto bench-shard perf perf-compare fuzz cover serve
 
 ci: vet build race fuzz cover
 
@@ -53,11 +53,16 @@ bench-auto:
 bench-shard:
 	go run ./cmd/adamant-bench -exp shard -json BENCH_PR9.json
 
-# Fleet-profiler overhead on the concurrent-throughput workload
-# (EXPERIMENTS.md "Profiler overhead"); regenerates BENCH_PR10.json at the
-# full profile.
-bench-profile:
-	go run ./cmd/adamant-bench -exp profile -json BENCH_PR10.json
+# The benchmark (perf/README.md): four workloads, end-to-end and per-layer
+# metrics on both clocks, three seeds each, written to PERF_OUT.
+PERF_OUT ?= perf-out.json
+perf:
+	go run ./perf -runs 3 -json $(PERF_OUT)
+
+# Verdict per metric between two `make perf` outputs:
+# make perf-compare BEFORE=a.json AFTER=b.json
+perf-compare:
+	go run ./perf -compare $(BEFORE) $(AFTER)
 
 # Telemetry service: Q6 over a telemetry-armed engine, with /metrics,
 # /events, /flight, /util and /run?n=K on port 9464.

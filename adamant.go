@@ -764,8 +764,9 @@ func (e *Engine) queryDeadline(opts ExecOptions) vclock.Duration {
 	return e.deadline
 }
 
-// runGraph is the shared admission + execution path: estimate the query's
-// per-device working set, pass admission control, run, release.
+// runGraph is the shared execution path: plan (shard, fuse, auto-plan,
+// estimate the per-device working set), pass admission control, run, and
+// publish the outcome.
 func (e *Engine) runGraph(ctx context.Context, g *graph.Graph, opts exec.Options, priority int) (*exec.Result, error) {
 	if e.confErr != nil {
 		return nil, e.confErr
@@ -821,28 +822,7 @@ func (e *Engine) runGraph(ctx context.Context, g *graph.Graph, opts exec.Options
 	if err != nil {
 		return nil, err
 	}
-	// Telemetry bookkeeping: assign the query ID, route executor events to
-	// the sink, and make sure a recorder exists so the flight recorder can
-	// retain full spans for interesting queries. Recording never perturbs
-	// virtual timings, so traces stay bit-identical with telemetry on; with
-	// telemetry off (tel == nil) this path adds zero allocations.
-	var (
-		tel             = e.tele
-		qid             uint64
-		devName, driver string
-		startVT         vclock.Time
-		mark            int
-	)
-	if tel != nil {
-		qid = tel.nextQuery.Add(1)
-		opts.QueryID = qid
-		opts.Events = tel.sink
-		devName, driver = e.primaryDevice(demand)
-		if opts.Recorder == nil {
-			opts.Recorder = trace.NewRecorder()
-		}
-		mark = opts.Recorder.Len()
-	}
+
 	admitStart := time.Now()
 	grant, err := e.sched.Admit(ctx, session.Request{
 		Priority: priority,
@@ -858,69 +838,118 @@ func (e *Engine) runGraph(ctx context.Context, g *graph.Graph, opts exec.Options
 		return nil, err
 	}
 	defer grant.Release()
+	q := e.beginQuery(&opts, shape, demand)
+	q.queued = grant.Queued()
 	if opts.Recorder.Enabled() {
 		// Admission happens in host time, before the query touches any
 		// virtual timeline, so the span carries only a wall-clock duration
 		// (kept out of the deterministic exports).
 		opts.Recorder.Add(trace.Span{
 			Parent: trace.NoSpan, Kind: trace.KindAdmission,
-			Label: admissionLabel(grant.Queued()),
+			Label: admissionLabel(q.queued),
 			Wall:  time.Since(admitStart),
 			Node:  -1, Pipeline: -1, Chunk: -1,
 		})
 	}
-	if tel != nil {
-		startVT = e.vtNow()
-		tel.sink.Emit(telemetry.Event{
-			Type: telemetry.EventQueryStart, Query: qid,
-			VT: int64(startVT), Device: devName, Model: opts.Model.String(),
-		})
-	}
+
 	res, runErr := exec.RunContext(ctx, e.rt, g, opts)
+
+	e.observeHealth(res, runErr)
+	if autoDec != nil {
+		e.observeAutoPlan(autoDec, opts, res, runErr, autoMark)
+	}
+	e.publishQuery(q, opts, res, runErr)
+	e.pulseHealth()
+	return res, runErr
+}
+
+// queryRun is what beginQuery learns about a query and publishQuery needs
+// back. Apart from shape and queued it is only filled with telemetry on.
+type queryRun struct {
+	id uint64
+	// dev and driver name the query's primary device for metric labels.
+	dev, driver string
+	// shape is the plan fingerprint the profiler keys its ledger by.
+	shape   string
+	startVT vclock.Time
+	// mark is the recorder's length at begin: the spans from there on are
+	// this query's.
+	mark   int
+	queued bool
+}
+
+// beginQuery opens a query's telemetry: it assigns the query ID, routes
+// executor events to the sink, makes sure a recorder exists so the flight
+// recorder can retain full spans for interesting queries, and emits
+// query_start. Recording never perturbs virtual timings, so traces stay
+// bit-identical with telemetry on; with telemetry off it allocates nothing.
+func (e *Engine) beginQuery(opts *exec.Options, shape string, demand map[device.ID]int64) queryRun {
+	q := queryRun{shape: shape}
+	tel := e.tele
+	if tel == nil {
+		return q
+	}
+	q.id = tel.nextQuery.Add(1)
+	opts.QueryID = q.id
+	opts.Events = tel.sink
+	q.dev, q.driver = e.primaryDevice(demand)
+	if opts.Recorder == nil {
+		opts.Recorder = trace.NewRecorder()
+	}
+	q.mark = opts.Recorder.Len()
+	q.startVT = e.vtNow()
+	tel.sink.Emit(telemetry.Event{
+		Type: telemetry.EventQueryStart, Query: q.id,
+		VT: int64(q.startVT), Device: q.dev, Model: opts.Model.String(),
+	})
+	return q
+}
+
+// publishQuery folds one finished query into the engine metrics and, with
+// telemetry on, into the registry, event log, profiler and flight recorder.
+// It is the one place failovers and degrades are counted. res is nil when
+// the run failed before producing statistics.
+func (e *Engine) publishQuery(q queryRun, opts exec.Options, res *exec.Result, runErr error) {
+	var failovers, degrades int64
 	if res != nil {
-		// A failover means the lost device is unhealthy: quarantine it so
-		// later admissions charge its demand to the fallback's budget.
-		// With a health tracker armed, quarantining goes through the
-		// breaker (observeHealth) so probation probes can undo it.
-		var failovers, degrades int64
-		for _, ev := range res.Stats.Events {
+		s := &res.Stats
+		for _, ev := range s.Events {
 			switch ev.Kind {
 			case exec.EventFailover:
 				failovers++
-				if e.health == nil {
-					e.sched.Quarantine(ev.From, ev.To)
-				}
 			case exec.EventDegrade:
 				degrades++
 			}
 		}
-		e.observeHealth(res, runErr)
+		// A partition re-dispatched after its shard died is a failover too,
+		// but one the coordinator reports per partition, not as a device
+		// event (adamant_shard_failovers_total counts it on the registry).
+		var shardFailovers int64
+		for _, sh := range s.Shards {
+			if sh.FailedOver {
+				shardFailovers++
+			}
+		}
 		e.metrics.ObserveQuery(trace.QueryStats{
-			Elapsed:      res.Stats.Elapsed,
-			KernelTime:   res.Stats.KernelTime,
-			TransferTime: res.Stats.TransferTime,
-			OverheadTime: res.Stats.OverheadTime,
-			H2DBytes:     res.Stats.H2DBytes,
-			D2HBytes:     res.Stats.D2HBytes,
-			Launches:     res.Stats.Launches,
-			Chunks:       res.Stats.Chunks,
-			Pipelines:    res.Stats.Pipelines,
-			Retries:      res.Stats.Retries,
-			Failovers:    failovers,
+			Elapsed:      s.Elapsed,
+			KernelTime:   s.KernelTime,
+			TransferTime: s.TransferTime,
+			OverheadTime: s.OverheadTime,
+			H2DBytes:     s.H2DBytes,
+			D2HBytes:     s.D2HBytes,
+			Launches:     s.Launches,
+			Chunks:       s.Chunks,
+			Pipelines:    s.Pipelines,
+			Retries:      s.Retries,
+			Failovers:    failovers + shardFailovers,
 			Degrades:     degrades,
-			Queued:       grant.Queued(),
+			Queued:       q.queued,
 			Err:          runErr != nil,
 		})
 	}
-	if autoDec != nil {
-		e.observeAutoPlan(autoDec, opts, res, runErr, autoMark)
+	if e.tele != nil {
+		e.observeQueryTelemetry(q, opts, res, runErr, int(failovers), int(degrades))
 	}
-	if tel != nil {
-		e.observeQueryTelemetry(qid, devName, driver, opts.Model.String(), shape, opts.Tenant,
-			startVT, res, runErr, opts.Recorder.Spans()[mark:])
-	}
-	e.pulseHealth()
-	return res, runErr
 }
 
 // estimateCost predicts a query's virtual runtime from its per-device

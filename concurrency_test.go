@@ -18,6 +18,8 @@ import (
 	"github.com/adamant-db/adamant/internal/devmem"
 	"github.com/adamant-db/adamant/internal/driver/simcuda"
 	"github.com/adamant-db/adamant/internal/simhw"
+	"github.com/adamant-db/adamant/internal/storage"
+	"github.com/adamant-db/adamant/internal/tpch"
 	"github.com/adamant-db/adamant/internal/vclock"
 )
 
@@ -333,5 +335,95 @@ func TestQueryContextCancel(t *testing.T) {
 		adamant.QueryOptions{ExecOptions: adamant.ExecOptions{Model: adamant.Chunked, ChunkElems: stressChunk}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled query: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestTwoClientsStatsAreTheirOwn runs TPC-H Q6 and Q3 from two goroutines
+// on one engine and asserts each result's launch and byte counts equal the
+// query's solo run: a query is billed for its own device work, not for
+// whatever its neighbour ran on the shared devices meanwhile.
+func TestTwoClientsStatsAreTheirOwn(t *testing.T) {
+	ds, err := tpch.Generate(tpch.Config{SF: 1, Ratio: 1.0 / 4096, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tables []*adamant.Table
+	for _, st := range []*storage.Table{ds.Lineitem, ds.Orders, ds.Customer} {
+		tbl := adamant.NewTable(st.Name, st.Rows())
+		for _, col := range st.Columns() {
+			if err := tbl.AddInt32(col.Name, col.Data.I32()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tables = append(tables, tbl)
+	}
+	cat := adamant.NewCatalog(tables...)
+	queries := map[string]string{
+		"Q6": `SELECT SUM(l_extendedprice * l_discount) AS revenue
+		       FROM lineitem
+		       WHERE l_shipdate BETWEEN DATE '1994-01-01' AND DATE '1994-12-31'
+		         AND l_discount BETWEEN 5 AND 7 AND l_quantity < 24`,
+		"Q3": `SELECT l_orderkey, SUM(l_extendedprice * (100 - l_discount)) AS revenue
+		       FROM lineitem
+		       WHERE l_shipdate > DATE '1995-03-15'
+		         AND l_orderkey IN (
+		           SELECT o_orderkey FROM orders
+		           WHERE o_orderdate < DATE '1995-03-15'
+		             AND o_custkey IN (SELECT c_custkey FROM customer WHERE c_mktsegment = 1))
+		       GROUP BY l_orderkey`,
+	}
+
+	eng := adamant.NewEngine()
+	gpu, err := eng.Plug(adamant.RTX2080Ti, adamant.CUDA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct{ launches, h2d, d2h int64 }
+	run := func(name string) (counts, error) {
+		res, err := eng.Query(cat, gpu, queries[name], adamant.QueryOptions{
+			ExecOptions: adamant.ExecOptions{Model: adamant.FourPhasePipelined, ChunkElems: 512},
+		})
+		if err != nil {
+			return counts{}, fmt.Errorf("%s: %w", name, err)
+		}
+		s := res.Stats()
+		return counts{s.Launches, s.H2DBytes, s.D2HBytes}, nil
+	}
+	solo := map[string]counts{}
+	for name := range queries {
+		c, err := run(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.launches == 0 || c.h2d == 0 || c.d2h == 0 {
+			t.Fatalf("solo %s counted nothing: %+v", name, c)
+		}
+		solo[name] = c
+	}
+
+	const rounds, perRound = 4, 6
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for name := range queries {
+			wg.Add(1)
+			go func(name string) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perRound; i++ {
+					got, err := run(name)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got != solo[name] {
+						t.Errorf("round %d: concurrent %s counted %+v, solo run %+v", r, name, got, solo[name])
+						return
+					}
+				}
+			}(name)
+		}
+		close(start)
+		wg.Wait()
 	}
 }

@@ -28,7 +28,18 @@ func errDeadline(err error) bool { return errors.Is(err, vclock.ErrDeadline) }
 // observation per device the query used. Devices whose breaker trips are
 // quarantined onto the engine's fallback.
 func (e *Engine) observeHealth(res *exec.Result, runErr error) {
-	if e.health == nil || res == nil {
+	if res == nil {
+		return
+	}
+	if e.health == nil {
+		// No breaker to undo it by probation: a failover quarantines the
+		// lost device outright, so later admissions charge its demand to
+		// the fallback's budget.
+		for _, ev := range res.Stats.Events {
+			if ev.Kind == exec.EventFailover {
+				e.sched.Quarantine(ev.From, ev.To)
+			}
+		}
 		return
 	}
 	open := make(map[device.ID]bool)

@@ -10,7 +10,6 @@ import (
 	"github.com/adamant-db/adamant/internal/telemetry"
 	"github.com/adamant-db/adamant/internal/trace"
 	"github.com/adamant-db/adamant/internal/vclock"
-	"github.com/adamant-db/adamant/internal/vec"
 )
 
 // ErrUnknownModel reports an Options.Model outside the defined execution
@@ -335,214 +334,3 @@ func (x *executor) resolve(id device.ID) device.ID {
 	}
 	return id
 }
-
-// device resolves a logical device ID through the failover remap and wraps
-// the device with the executor's retry policy. The returned ID is the
-// effective device the query actually runs on; it is what port state,
-// allocation tracking and routing must record.
-func (x *executor) device(id device.ID) (device.ID, device.Device, error) {
-	eff := x.resolve(id)
-	d, err := x.rt.Device(eff)
-	if err != nil {
-		return eff, nil, err
-	}
-	if x.rec != nil {
-		// Tracing sits inside the retrier: a faulted attempt consumes no
-		// engine time and leaves no span, only the successful issue does.
-		d = &traced{x: x, name: d.Info().Name, d: d}
-	}
-	return eff, &retrier{x: x, id: eff, d: d}, nil
-}
-
-// retrier wraps a device.Device with transient-fault retries. Each faulted
-// operation is re-issued with capped exponential backoff charged in
-// virtual-clock time; a device-lost fault is wrapped in DeviceLostError so
-// the executor's failover loop can catch it with errors.As. Non-transient
-// faults (OOM) pass through untouched.
-type retrier struct {
-	x  *executor
-	id device.ID
-	d  device.Device
-}
-
-var _ device.Device = (*retrier)(nil)
-
-// attempt drives op under the retry policy. op receives the ready time for
-// each try (later tries are pushed back by the backoff) and returns the
-// operation's error.
-func (r *retrier) attempt(ready vclock.Time, op func(vclock.Time) error) error {
-	pol := r.x.opts.Retry.withDefaults()
-	backoff := pol.Backoff
-	for tries := 0; ; tries++ {
-		err := op(ready)
-		if err == nil {
-			return nil
-		}
-		// Every faulted operation counts against the device's health window,
-		// whether it is retried, degraded around, or surfaced.
-		r.x.faults[r.id]++
-		if errors.Is(err, fault.ErrDeviceLost) {
-			return &DeviceLostError{Device: r.id, Err: err}
-		}
-		if isOOM(err) {
-			return &OOMError{Device: r.id, Err: err}
-		}
-		if tries >= pol.MaxRetries || !fault.IsTransient(err) {
-			return err
-		}
-		r.x.retries++
-		if r.x.opts.Events != nil {
-			r.x.opts.Events.Emit(telemetry.Event{
-				Type: telemetry.EventRetry, Query: r.x.opts.QueryID,
-				VT: int64(ready), Device: r.d.Info().Name,
-				Detail: err.Error(),
-			})
-		}
-		if r.x.rec != nil {
-			// The retry span covers the backoff gap: virtual time the query
-			// lost to the fault, annotated with the injector's error string.
-			r.x.rec.Add(trace.Span{
-				Parent: r.x.parentSpan(), Kind: trace.KindRetry,
-				Label:  err.Error(),
-				Device: r.d.Info().Name,
-				Start:  ready, End: ready.Add(backoff),
-				Node: r.x.curNode, Pipeline: r.x.pidx, Chunk: r.x.cidx,
-			})
-		}
-		ready = ready.Add(backoff)
-		backoff *= 2
-		if backoff > pol.BackoffCap {
-			backoff = pol.BackoffCap
-		}
-	}
-}
-
-// Initialize implements device.Device.
-func (r *retrier) Initialize() error {
-	return r.attempt(0, func(vclock.Time) error { return r.d.Initialize() })
-}
-
-// Info implements device.Device.
-func (r *retrier) Info() device.Info { return r.d.Info() }
-
-// PlaceData implements device.Device.
-func (r *retrier) PlaceData(data vec.Vector, ready vclock.Time) (devmem.BufferID, vclock.Time, error) {
-	var buf devmem.BufferID
-	end := ready
-	err := r.attempt(ready, func(at vclock.Time) error {
-		var err error
-		buf, end, err = r.d.PlaceData(data, at)
-		return err
-	})
-	return buf, end, err
-}
-
-// PlaceDataInto implements device.Device.
-func (r *retrier) PlaceDataInto(id devmem.BufferID, off int, data vec.Vector, ready vclock.Time) (vclock.Time, error) {
-	end := ready
-	err := r.attempt(ready, func(at vclock.Time) error {
-		var err error
-		end, err = r.d.PlaceDataInto(id, off, data, at)
-		return err
-	})
-	return end, err
-}
-
-// RetrieveData implements device.Device.
-func (r *retrier) RetrieveData(id devmem.BufferID, off, n int, dst vec.Vector, ready vclock.Time) (vclock.Time, error) {
-	end := ready
-	err := r.attempt(ready, func(at vclock.Time) error {
-		var err error
-		end, err = r.d.RetrieveData(id, off, n, dst, at)
-		return err
-	})
-	return end, err
-}
-
-// PrepareMemory implements device.Device.
-func (r *retrier) PrepareMemory(t vec.Type, n int, ready vclock.Time) (devmem.BufferID, vclock.Time, error) {
-	var buf devmem.BufferID
-	end := ready
-	err := r.attempt(ready, func(at vclock.Time) error {
-		var err error
-		buf, end, err = r.d.PrepareMemory(t, n, at)
-		return err
-	})
-	return buf, end, err
-}
-
-// AddPinnedMemory implements device.Device.
-func (r *retrier) AddPinnedMemory(t vec.Type, n int, ready vclock.Time) (devmem.BufferID, vclock.Time, error) {
-	var buf devmem.BufferID
-	end := ready
-	err := r.attempt(ready, func(at vclock.Time) error {
-		var err error
-		buf, end, err = r.d.AddPinnedMemory(t, n, at)
-		return err
-	})
-	return buf, end, err
-}
-
-// CreateChunk implements device.Device. Views are host-side bookkeeping;
-// retries carry no virtual-time backoff.
-func (r *retrier) CreateChunk(id devmem.BufferID, off, n int) (devmem.BufferID, error) {
-	var buf devmem.BufferID
-	err := r.attempt(0, func(vclock.Time) error {
-		var err error
-		buf, err = r.d.CreateChunk(id, off, n)
-		return err
-	})
-	return buf, err
-}
-
-// TransformMemory implements device.Device.
-func (r *retrier) TransformMemory(id devmem.BufferID, target devmem.Format, ready vclock.Time) (vclock.Time, error) {
-	end := ready
-	err := r.attempt(ready, func(at vclock.Time) error {
-		var err error
-		end, err = r.d.TransformMemory(id, target, at)
-		return err
-	})
-	return end, err
-}
-
-// DeleteMemory implements device.Device. Deletion passes through: the leak
-// barrier must always be able to free, and the injector never faults it.
-func (r *retrier) DeleteMemory(id devmem.BufferID) error { return r.d.DeleteMemory(id) }
-
-// PrepareKernel implements device.Device.
-func (r *retrier) PrepareKernel(name, source string) error {
-	return r.attempt(0, func(vclock.Time) error { return r.d.PrepareKernel(name, source) })
-}
-
-// Execute implements device.Device.
-func (r *retrier) Execute(req device.ExecRequest, ready vclock.Time) (vclock.Time, error) {
-	end := ready
-	err := r.attempt(ready, func(at vclock.Time) error {
-		var err error
-		end, err = r.d.Execute(req, at)
-		return err
-	})
-	return end, err
-}
-
-// Sync implements device.Device.
-func (r *retrier) Sync(ready vclock.Time) vclock.Time { return r.d.Sync(ready) }
-
-// Buffer implements device.Device.
-func (r *retrier) Buffer(id devmem.BufferID) (*devmem.Buffer, error) { return r.d.Buffer(id) }
-
-// CopyEngine implements device.Device.
-func (r *retrier) CopyEngine() *vclock.Timeline { return r.d.CopyEngine() }
-
-// ComputeEngine implements device.Device.
-func (r *retrier) ComputeEngine() *vclock.Timeline { return r.d.ComputeEngine() }
-
-// MemStats implements device.Device.
-func (r *retrier) MemStats() devmem.Stats { return r.d.MemStats() }
-
-// Stats implements device.Device.
-func (r *retrier) Stats() device.Stats { return r.d.Stats() }
-
-// Reset implements device.Device.
-func (r *retrier) Reset() { r.d.Reset() }

@@ -218,6 +218,19 @@ func TestFailoverReroutesToFallback(t *testing.T) {
 				i, ms.Used, ms.PinnedUsed, ms.LiveBuffers)
 		}
 	}
+
+	// A query keeps one wrapper per effective device: looking a device up
+	// twice yields the same one, and a failover hands out the fallback's.
+	first, second, failedOver, err := exec.DeviceWrappers(rt, 0, fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Error("two lookups of one device built two wrappers")
+	}
+	if failedOver == first {
+		t.Error("the failed-over device kept the dead device's wrapper")
+	}
 }
 
 // degradeWorkload builds a deterministic multi-chunk filter+sum plan and

@@ -272,19 +272,26 @@ type Stats struct {
 	// KernelTime is the summed virtual kernel body time; TransferTime
 	// the summed transfer time; OverheadTime the summed launch, argument
 	// mapping, allocation and transform cost (Figure 10's overhead).
+	// These three are deltas of the devices' own counters over the run —
+	// how a launch splits into overhead and body is known only inside the
+	// device — so on a shared engine they include whatever concurrent
+	// queries ran on the same devices meanwhile.
 	KernelTime   vclock.Duration
 	TransferTime vclock.Duration
 	OverheadTime vclock.Duration
-	// H2DBytes and D2HBytes count payload bytes moved.
+	// H2DBytes and D2HBytes count the payload bytes this query moved, and
+	// Launches the kernels it dispatched: counted per successful call at
+	// the query's own device seam, so a concurrent neighbour's work is
+	// never billed here.
 	H2DBytes int64
 	D2HBytes int64
-	// Launches counts kernel dispatches.
 	Launches int64
 	// Chunks counts chunk iterations across all pipelines; Pipelines the
 	// pipeline count.
 	Chunks    int
 	Pipelines int
-	// PeakDeviceBytes is the high-water device memory across devices.
+	// PeakDeviceBytes is the high-water device memory across devices — a
+	// device-wide mark, shared with concurrent queries like the times above.
 	PeakDeviceBytes int64
 	// Footprint holds the trace when Options.Trace is set.
 	Footprint []FootprintSample
@@ -374,7 +381,11 @@ func RunContext(ctx context.Context, rt *hub.Runtime, g *graph.Graph, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	x := &executor{
+	return newExecutor(ctx, rt, g, opts).run(pipelines)
+}
+
+func newExecutor(ctx context.Context, rt *hub.Runtime, g *graph.Graph, opts Options) *executor {
+	return &executor{
 		ctx:       ctx,
 		rt:        rt,
 		g:         g,
@@ -385,6 +396,8 @@ func RunContext(ctx context.Context, rt *hub.Runtime, g *graph.Graph, opts Optio
 		remap:     make(map[device.ID]device.ID),
 		faults:    make(map[device.ID]int64),
 		poolPorts: make(map[graph.NodeID]*bufpool.Lease),
+		seams:     make(map[device.ID]*seam),
+		retry:     opts.Retry.withDefaults(),
 
 		rec:        opts.Recorder,
 		qspan:      trace.NoSpan,
@@ -394,20 +407,5 @@ func RunContext(ctx context.Context, rt *hub.Runtime, g *graph.Graph, opts Optio
 		pidx:       -1,
 		cidx:       -1,
 		curNode:    -1,
-	}
-	return x.run(pipelines)
-}
-
-// statsDelta subtracts device counters captured before the run.
-func statsDelta(after, before device.Stats) device.Stats {
-	return device.Stats{
-		H2DTransfers: after.H2DTransfers - before.H2DTransfers,
-		H2DBytes:     after.H2DBytes - before.H2DBytes,
-		D2HTransfers: after.D2HTransfers - before.D2HTransfers,
-		D2HBytes:     after.D2HBytes - before.D2HBytes,
-		TransferTime: after.TransferTime - before.TransferTime,
-		Launches:     after.Launches - before.Launches,
-		KernelTime:   after.KernelTime - before.KernelTime,
-		OverheadTime: after.OverheadTime - before.OverheadTime,
 	}
 }

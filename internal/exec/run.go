@@ -73,6 +73,16 @@ type executor struct {
 	events  []RuntimeEvent
 	retries int64
 
+	// seams holds the query's wrapper of each device it has touched, keyed
+	// by the device's own (unremapped) ID; retry is Options.Retry with its
+	// defaults filled in. launches, h2dBytes and d2hBytes are what the
+	// seams counted: this query's work, whatever else the devices ran.
+	seams    map[device.ID]*seam
+	retry    RetryPolicy
+	launches int64
+	h2dBytes int64
+	d2hBytes int64
+
 	// poolLeases are the buffer-pool leases the run holds on cached base
 	// columns; poolPorts maps each pooled scan node to its lease. Pooled
 	// buffers are pool-owned: they never enter live (the leak barrier must
@@ -187,28 +197,25 @@ func (x *executor) setOp(node graph.NodeID, label string) {
 }
 
 // free releases one tracked buffer. Frees deliberately bypass the failover
-// remap and the retry wrapper (a buffer on a dead device must be freed
-// there, and deletion never faults), so tracing wraps the raw device here.
+// remap: a buffer on a dead device must be freed there.
 func (x *executor) free(dev device.ID, buf devmem.BufferID) error {
-	d, err := x.rt.Device(dev)
+	s, err := x.seam(dev)
 	if err != nil {
 		return err
 	}
 	delete(x.live, liveBuf{dev, buf})
-	if x.rec != nil {
-		d = &traced{x: x, name: d.Info().Name, d: d}
-	}
-	return d.DeleteMemory(buf)
+	return s.DeleteMemory(buf)
 }
 
 // releaseAll frees every buffer the query still owns: the delete phase on
 // success, and the leak barrier on cancellation or error. Buffers already
 // gone (views invalidated by a parent free) are skipped. The failover path
-// passes traced=true so the re-placement's frees appear in the trace (they
-// fall inside the statistics window); the deferred end-of-run teardown
-// runs after statistics are assembled and stays untraced, keeping the
-// trace's engine spans in balance with Stats.
-func (x *executor) releaseAll(traced_ bool) {
+// passes traced=true so the re-placement's frees go through the seam and
+// appear in the trace (they fall inside the statistics window); the
+// deferred end-of-run teardown runs after statistics are assembled and
+// frees on the raw device, keeping the trace's engine spans in balance
+// with Stats.
+func (x *executor) releaseAll(traced bool) {
 	order := make([]liveBuf, 0, len(x.live))
 	for lb := range x.live {
 		order = append(order, lb)
@@ -221,14 +228,17 @@ func (x *executor) releaseAll(traced_ bool) {
 		}
 		return order[i].buf < order[j].buf
 	})
+	if traced {
+		x.setOp(-1, "failover teardown")
+	}
 	for _, lb := range order {
-		d, err := x.rt.Device(lb.dev)
+		s, err := x.seam(lb.dev)
 		if err != nil {
 			continue
 		}
-		if traced_ && x.rec != nil {
-			x.setOp(-1, "failover teardown")
-			d = &traced{x: x, name: d.Info().Name, d: d}
+		d := s.Device
+		if traced {
+			d = s
 		}
 		if err := d.DeleteMemory(lb.buf); err != nil && !errors.Is(err, devmem.ErrUnknownBuffer) {
 			// Nothing actionable mid-teardown; the pool's accounting
@@ -256,10 +266,9 @@ func (x *executor) run(pipelines []*graph.Pipeline) (*Result, error) {
 	// taken once so a device plugged mid-flight by another session cannot
 	// skew the before/after statistics delta.
 	devs := x.rt.Devices()
-	before := make(map[device.ID]device.Stats)
+	before := make([]device.Stats, len(devs))
 	for i, d := range devs {
-		id := device.ID(i)
-		before[id] = d.Stats()
+		before[i] = d.Stats()
 		if a := d.CopyEngine().Avail(); a > x.base {
 			x.base = a
 		}
@@ -321,6 +330,9 @@ func (x *executor) run(pipelines []*graph.Pipeline) (*Result, error) {
 		Chunks:         x.chunksTotal,
 		Pipelines:      len(pipelines),
 		Footprint:      x.trace,
+		H2DBytes:       x.h2dBytes,
+		D2HBytes:       x.d2hBytes,
+		Launches:       x.launches,
 		Retries:        x.retries,
 		Events:         x.events,
 		FaultsByDevice: x.faults,
@@ -328,13 +340,10 @@ func (x *executor) run(pipelines []*graph.Pipeline) (*Result, error) {
 		Replans:        x.replans,
 	}
 	for i, d := range devs {
-		delta := statsDelta(d.Stats(), before[device.ID(i)])
-		res.Stats.KernelTime += delta.KernelTime
-		res.Stats.TransferTime += delta.TransferTime
-		res.Stats.OverheadTime += delta.OverheadTime
-		res.Stats.H2DBytes += delta.H2DBytes
-		res.Stats.D2HBytes += delta.D2HBytes
-		res.Stats.Launches += delta.Launches
+		after := d.Stats()
+		res.Stats.KernelTime += after.KernelTime - before[i].KernelTime
+		res.Stats.TransferTime += after.TransferTime - before[i].TransferTime
+		res.Stats.OverheadTime += after.OverheadTime - before[i].OverheadTime
 		if pk := d.MemStats().Peak; pk > res.Stats.PeakDeviceBytes {
 			res.Stats.PeakDeviceBytes = pk
 		}
@@ -667,7 +676,7 @@ func (x *executor) emptyStreamedResults(p *graph.Pipeline) {
 
 // primaryDevice is the device the pipeline's tasks run on (used for the
 // per-chunk thread handshake).
-func (x *executor) primaryDevice(p *graph.Pipeline) (device.Device, error) {
+func (x *executor) primaryDevice(p *graph.Pipeline) (*seam, error) {
 	if len(p.Nodes) == 0 {
 		return nil, fmt.Errorf("%w: pipeline %d has no tasks", graph.ErrBadGraph, p.Index)
 	}

@@ -111,7 +111,6 @@ var registry = map[string]Generator{
 	"fuse":       FuseSpeedup,
 	"auto":       AutoPlan,
 	"shard":      ShardScale,
-	"profile":    ProfileOverhead,
 }
 
 // Names lists the experiment identifiers in run order.

@@ -3,15 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/adamant-db/adamant/internal/exec"
 	"github.com/adamant-db/adamant/internal/graph"
-	"github.com/adamant-db/adamant/internal/kernels"
 	"github.com/adamant-db/adamant/internal/simhw"
 	"github.com/adamant-db/adamant/internal/tpch"
 	"github.com/adamant-db/adamant/internal/vclock"
-	"github.com/adamant-db/adamant/internal/vec"
 )
 
 // FuseSpeedup measures operator fusion on Q6 at SF 100 on CUDA: the same
@@ -78,166 +75,5 @@ func FuseSpeedup(cfg Config, w io.Writer) error {
 	if err := cfg.reportPhase(w, "fuse", "unfused", unfused); err != nil {
 		return err
 	}
-	if err := cfg.reportPhase(w, "fuse", "fused", fused); err != nil {
-		return err
-	}
-	return fuseHostPhase(cfg, w)
-}
-
-// fuseHostPhase wall-clock times the actual host kernels on a Q6-shaped
-// workload: the unfused nine-launch primitive sequence against one fused
-// single-pass launch, best of three rounds each. This is the real-silicon
-// counterpart of the virtual-time tables above (and of BenchmarkFusedQ6 in
-// internal/kernels): no simulated transfers, just the kernel loops.
-func fuseHostPhase(cfg Config, w io.Writer) error {
-	rows := 1 << 20
-	if cfg.Quick {
-		rows = 1 << 17
-	}
-	ship, disc, qty, price := fuseHostColumns(rows, cfg.Seed)
-	reg := kernels.NewRegistry()
-	lookup := func(name string) (*kernels.Kernel, error) { return reg.Lookup(name) }
-
-	// Unfused: filter x3, and x2, materialize x2, map, agg — with the
-	// intermediate buffers the chain bounces through, allocated up front
-	// so the timing covers kernel work.
-	filter, err := lookup("filter_bitmap_i32")
-	if err != nil {
-		return err
-	}
-	and, err := lookup("bitmap_and")
-	if err != nil {
-		return err
-	}
-	mat, err := lookup("materialize_bitmap_i32")
-	if err != nil {
-		return err
-	}
-	mul, err := lookup("map_mul_i32_i64")
-	if err != nil {
-		return err
-	}
-	agg, err := lookup("agg_block_i64")
-	if err != nil {
-		return err
-	}
-	fusedK, err := lookup("fused_filter_agg")
-	if err != nil {
-		return err
-	}
-	ctx := &kernels.Ctx{}
-	bm1 := vec.New(vec.Bits, rows)
-	bm2 := vec.New(vec.Bits, rows)
-	bm3 := vec.New(vec.Bits, rows)
-	bmA := vec.New(vec.Bits, rows)
-	bmB := vec.New(vec.Bits, rows)
-	matPrice := make([]int32, rows)
-	matDisc := make([]int32, rows)
-	revenue := make([]int64, rows)
-	count := vec.New(vec.Int64, 1)
-	unfusedRun := func() (int64, error) {
-		steps := []struct {
-			k      *kernels.Kernel
-			args   []vec.Vector
-			params []int64
-		}{
-			{filter, []vec.Vector{ship, bm1}, []int64{int64(kernels.CmpBetween), 1000, 1364}},
-			{filter, []vec.Vector{disc, bm2}, []int64{int64(kernels.CmpBetween), 5, 7}},
-			{filter, []vec.Vector{qty, bm3}, []int64{int64(kernels.CmpLt), 24, 0}},
-			{and, []vec.Vector{bm1, bm2, bmA}, nil},
-			{and, []vec.Vector{bmA, bm3, bmB}, nil},
-			{mat, []vec.Vector{price, bmB, vec.FromInt32(matPrice), count}, nil},
-			{mat, []vec.Vector{disc, bmB, vec.FromInt32(matDisc), count}, nil},
-		}
-		for _, s := range steps {
-			if err := s.k.Fn(ctx, s.args, s.params); err != nil {
-				return 0, err
-			}
-		}
-		n := int(count.I64()[0])
-		rev := vec.FromInt64(revenue[:n])
-		if err := mul.Fn(ctx, []vec.Vector{vec.FromInt32(matPrice[:n]), vec.FromInt32(matDisc[:n]), rev}, nil); err != nil {
-			return 0, err
-		}
-		acc := vec.New(vec.Int64, 1)
-		if err := agg.Fn(ctx, []vec.Vector{rev, acc}, []int64{int64(kernels.AggSum)}); err != nil {
-			return 0, err
-		}
-		return acc.I64()[0], nil
-	}
-	fusedRun := func() (int64, error) {
-		acc := vec.New(vec.Int64, 1)
-		params := []int64{
-			3,
-			0, int64(kernels.CmpBetween), 1000, 1364,
-			1, int64(kernels.CmpBetween), 5, 7,
-			2, int64(kernels.CmpLt), 24, 0,
-			kernels.FusedMapMul, 3, 1, 0,
-			int64(kernels.AggSum),
-		}
-		if err := fusedK.Fn(ctx, []vec.Vector{ship, disc, qty, price, acc}, params); err != nil {
-			return 0, err
-		}
-		return acc.I64()[0], nil
-	}
-
-	best := func(run func() (int64, error)) (int64, time.Duration, error) {
-		var val int64
-		var min time.Duration
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			v, err := run()
-			d := time.Since(start)
-			if err != nil {
-				return 0, 0, err
-			}
-			if r == 0 || d < min {
-				val, min = v, d
-			}
-		}
-		return val, min, nil
-	}
-	uval, ud, err := best(unfusedRun)
-	if err != nil {
-		return err
-	}
-	fval, fd, err := best(fusedRun)
-	if err != nil {
-		return err
-	}
-	if uval != fval {
-		return fmt.Errorf("fuse host phase: fused revenue %d != unfused %d", fval, uval)
-	}
-
-	host := NewTable("Host kernels: Q6 chain wall time, best of 3 (real milliseconds)",
-		"rows", "unfused ms", "fused ms", "speedup")
-	host.Note = "single-pass fused kernel vs the nine-launch primitive sequence on the CPU"
-	host.Add(rows,
-		fmt.Sprintf("%.3f", float64(ud.Nanoseconds())/1e6),
-		fmt.Sprintf("%.3f", float64(fd.Nanoseconds())/1e6),
-		fmt.Sprintf("%.2fx", float64(ud)/float64(fd)))
-	return cfg.reportPhase(w, "fuse", "host", host)
-}
-
-// fuseHostColumns fills four Q6-shaped int32 columns (shipdate over a
-// multi-year span, discount 0..10, quantity 1..50, price in the thousands)
-// with a seeded LCG; combined predicate selectivity lands near TPC-H Q6's
-// ~2%.
-func fuseHostColumns(rows int, seed uint64) (ship, disc, qty, price vec.Vector) {
-	s := make([]int32, rows)
-	d := make([]int32, rows)
-	q := make([]int32, rows)
-	p := make([]int32, rows)
-	x := seed*2862933555777941757 + 3037000493
-	next := func() uint64 {
-		x = x*6364136223846793005 + 1442695040888963407
-		return x >> 33
-	}
-	for i := range s {
-		s[i] = int32(next() % 2557)
-		d[i] = int32(next() % 11)
-		q[i] = int32(1 + next()%50)
-		p[i] = int32(1000 + next()%99000)
-	}
-	return vec.FromInt32(s), vec.FromInt32(d), vec.FromInt32(q), vec.FromInt32(p)
+	return cfg.reportPhase(w, "fuse", "fused", fused)
 }

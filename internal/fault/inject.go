@@ -23,13 +23,20 @@ type Injection struct {
 // data moved, no kernel ran. That keeps the fault model honest — retrying
 // or failing over can never observe a half-applied operation.
 //
+// Everything that is not one of the ten interfaces — introspection, the
+// engine timelines, the Sync handshake — is the embedded device's and
+// passes through unfaulted. So does Reset: the wrapped device resets, the
+// fault schedule and health state do not — a dead device stays dead until
+// Revive, and the operation counter keeps advancing so a schedule spans
+// resets.
+//
 // An Injector is safe for concurrent use; the decision stream is drawn
 // under a lock from a per-device seeded RNG, so a single-threaded caller
 // (the executor issues one query's device ops in a fixed order) always
 // sees the same schedule.
 type Injector struct {
-	inner device.Device
-	plan  *Plan
+	device.Device
+	plan *Plan
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -51,15 +58,15 @@ func Wrap(d device.Device, plan *Plan) *Injector {
 	}
 	name := d.Info().Name
 	return &Injector{
-		inner: d,
-		plan:  plan,
-		rng:   rand.New(rand.NewSource(int64(plan.seedFor(name)))),
-		name:  name,
+		Device: d,
+		plan:   plan,
+		rng:    rand.New(rand.NewSource(int64(plan.seedFor(name)))),
+		name:   name,
 	}
 }
 
 // Inner returns the wrapped device.
-func (in *Injector) Inner() device.Device { return in.inner }
+func (in *Injector) Inner() device.Device { return in.Device }
 
 // Injections returns the faults fired so far, in order.
 func (in *Injector) Injections() []Injection {
@@ -160,11 +167,8 @@ func (in *Injector) Initialize() error {
 	if _, err := in.decide(OpInitialize); err != nil {
 		return err
 	}
-	return in.inner.Initialize()
+	return in.Device.Initialize()
 }
-
-// Info implements device.Device.
-func (in *Injector) Info() device.Info { return in.inner.Info() }
 
 // PlaceData implements device.Device.
 func (in *Injector) PlaceData(data vec.Vector, ready vclock.Time) (devmem.BufferID, vclock.Time, error) {
@@ -172,7 +176,7 @@ func (in *Injector) PlaceData(data vec.Vector, ready vclock.Time) (devmem.Buffer
 	if err != nil {
 		return 0, ready, err
 	}
-	return in.inner.PlaceData(data, ready.Add(delay))
+	return in.Device.PlaceData(data, ready.Add(delay))
 }
 
 // PlaceDataInto implements device.Device.
@@ -181,7 +185,7 @@ func (in *Injector) PlaceDataInto(id devmem.BufferID, off int, data vec.Vector, 
 	if err != nil {
 		return ready, err
 	}
-	return in.inner.PlaceDataInto(id, off, data, ready.Add(delay))
+	return in.Device.PlaceDataInto(id, off, data, ready.Add(delay))
 }
 
 // RetrieveData implements device.Device.
@@ -190,7 +194,7 @@ func (in *Injector) RetrieveData(id devmem.BufferID, off, n int, dst vec.Vector,
 	if err != nil {
 		return ready, err
 	}
-	return in.inner.RetrieveData(id, off, n, dst, ready.Add(delay))
+	return in.Device.RetrieveData(id, off, n, dst, ready.Add(delay))
 }
 
 // PrepareMemory implements device.Device.
@@ -199,7 +203,7 @@ func (in *Injector) PrepareMemory(t vec.Type, n int, ready vclock.Time) (devmem.
 	if err != nil {
 		return 0, ready, err
 	}
-	return in.inner.PrepareMemory(t, n, ready.Add(delay))
+	return in.Device.PrepareMemory(t, n, ready.Add(delay))
 }
 
 // AddPinnedMemory implements device.Device.
@@ -208,7 +212,7 @@ func (in *Injector) AddPinnedMemory(t vec.Type, n int, ready vclock.Time) (devme
 	if err != nil {
 		return 0, ready, err
 	}
-	return in.inner.AddPinnedMemory(t, n, ready.Add(delay))
+	return in.Device.AddPinnedMemory(t, n, ready.Add(delay))
 }
 
 // CreateChunk implements device.Device.
@@ -216,7 +220,7 @@ func (in *Injector) CreateChunk(id devmem.BufferID, off, n int) (devmem.BufferID
 	if _, err := in.decide(OpCreateChunk); err != nil {
 		return 0, err
 	}
-	return in.inner.CreateChunk(id, off, n)
+	return in.Device.CreateChunk(id, off, n)
 }
 
 // TransformMemory implements device.Device.
@@ -225,7 +229,7 @@ func (in *Injector) TransformMemory(id devmem.BufferID, target devmem.Format, re
 	if err != nil {
 		return ready, err
 	}
-	return in.inner.TransformMemory(id, target, ready.Add(delay))
+	return in.Device.TransformMemory(id, target, ready.Add(delay))
 }
 
 // DeleteMemory implements device.Device. Deletion never faults and keeps
@@ -239,7 +243,7 @@ func (in *Injector) DeleteMemory(id devmem.BufferID) error {
 	in.ops++
 	in.perOp[OpDeleteMemory]++
 	in.mu.Unlock()
-	return in.inner.DeleteMemory(id)
+	return in.Device.DeleteMemory(id)
 }
 
 // PrepareKernel implements device.Device.
@@ -247,7 +251,7 @@ func (in *Injector) PrepareKernel(name, source string) error {
 	if _, err := in.decide(OpPrepareKernel); err != nil {
 		return err
 	}
-	return in.inner.PrepareKernel(name, source)
+	return in.Device.PrepareKernel(name, source)
 }
 
 // Execute implements device.Device.
@@ -256,40 +260,15 @@ func (in *Injector) Execute(req device.ExecRequest, ready vclock.Time) (vclock.T
 	if err != nil {
 		return ready, err
 	}
-	return in.inner.Execute(req, ready.Add(delay))
+	return in.Device.Execute(req, ready.Add(delay))
 }
-
-// Sync implements device.Device. The handshake is not one of the ten
-// plug-in interfaces and passes through unfaulted.
-func (in *Injector) Sync(ready vclock.Time) vclock.Time { return in.inner.Sync(ready) }
-
-// Buffer implements device.Device.
-func (in *Injector) Buffer(id devmem.BufferID) (*devmem.Buffer, error) { return in.inner.Buffer(id) }
-
-// CopyEngine implements device.Device.
-func (in *Injector) CopyEngine() *vclock.Timeline { return in.inner.CopyEngine() }
-
-// ComputeEngine implements device.Device.
-func (in *Injector) ComputeEngine() *vclock.Timeline { return in.inner.ComputeEngine() }
-
-// MemStats implements device.Device.
-func (in *Injector) MemStats() devmem.Stats { return in.inner.MemStats() }
-
-// Stats implements device.Device.
-func (in *Injector) Stats() device.Stats { return in.inner.Stats() }
-
-// Reset implements device.Device. The wrapped device resets; the fault
-// schedule and health state do not — a dead device stays dead until
-// Revive, and the operation counter keeps advancing so a schedule spans
-// resets.
-func (in *Injector) Reset() { in.inner.Reset() }
 
 // MarkPooled forwards device.PoolMarker to the wrapped device. Like
 // DeleteMemory, pool ownership transitions are host-side bookkeeping and
 // never fault; the buffer-pool layer relies on them during invalidation of
 // a dead device.
 func (in *Injector) MarkPooled(id devmem.BufferID, pooled bool) error {
-	if pm, ok := in.inner.(device.PoolMarker); ok {
+	if pm, ok := in.Device.(device.PoolMarker); ok {
 		return pm.MarkPooled(id, pooled)
 	}
 	return device.ErrNotSupported
@@ -297,7 +276,7 @@ func (in *Injector) MarkPooled(id devmem.BufferID, pooled bool) error {
 
 // CheckMemAccounting forwards device.MemChecker to the wrapped device.
 func (in *Injector) CheckMemAccounting() error {
-	if mc, ok := in.inner.(device.MemChecker); ok {
+	if mc, ok := in.Device.(device.MemChecker); ok {
 		return mc.CheckMemAccounting()
 	}
 	return nil

@@ -2,17 +2,9 @@ package kernels
 
 import (
 	"testing"
-	"time"
 
 	"github.com/adamant-db/adamant/internal/vec"
 )
-
-// timeIt measures one invocation in nanoseconds.
-func timeIt(run func()) int64 {
-	start := time.Now()
-	run()
-	return time.Since(start).Nanoseconds()
-}
 
 // Host-kernel benchmark of the fused single-pass Q6 chain against the
 // unfused primitive sequence it replaces. Both paths run the same Q6-shaped
@@ -164,14 +156,11 @@ func BenchmarkFusedQ6(b *testing.B) {
 	}
 }
 
-// TestFusedQ6HostSpeedup asserts the fused kernel answers identically to
-// the unfused sequence and beats it by the 1.5x the single-pass rewrite is
-// sold on. Timing uses the best of several alternated rounds so a noisy
-// scheduler cannot fail a genuinely faster kernel.
-func TestFusedQ6HostSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive; skipped under -short")
-	}
+// TestFusedQ6EqualsUnfused asserts the fused kernel answers identically to
+// the unfused sequence on the benchmark columns. How much faster it is lives
+// in the perf harness (kernels.fused_ms against kernels.filter_ms), not in a
+// tier-1 wall-clock assertion.
+func TestFusedQ6EqualsUnfused(t *testing.T) {
 	ship, disc, qty, price := benchQ6Columns()
 	sc := newBenchQ6Scratch()
 	ctx := &Ctx{Workers: 4}
@@ -182,23 +171,5 @@ func TestFusedQ6HostSpeedup(t *testing.T) {
 	}
 	if want == 0 {
 		t.Fatal("Q6 predicates selected no rows; benchmark data is degenerate")
-	}
-
-	const rounds = 5
-	best := func(run func()) (min int64) {
-		for r := 0; r < rounds; r++ {
-			d := timeIt(run)
-			if r == 0 || d < min {
-				min = d
-			}
-		}
-		return min
-	}
-	unfused := best(func() { runUnfusedQ6(t, ctx, ship, disc, qty, price, sc) })
-	fused := best(func() { runFusedQ6(t, ctx, ship, disc, qty, price) })
-	speedup := float64(unfused) / float64(fused)
-	t.Logf("unfused %dns, fused %dns: %.2fx", unfused, fused, speedup)
-	if speedup < 1.5 {
-		t.Errorf("fused Q6 speedup %.2fx, want >= 1.5x", speedup)
 	}
 }

@@ -64,19 +64,23 @@ type Stats struct {
 	// Wall is the host wall-clock time actually spent.
 	Wall time.Duration
 	// KernelTime, TransferTime and OverheadTime decompose the device
-	// activity (kernel bodies, data movement, launch/alloc handling).
+	// activity (kernel bodies, data movement, launch/alloc handling). They
+	// are read from the devices' own counters, so on an engine shared with
+	// concurrent queries they include the neighbours' activity.
 	KernelTime   time.Duration
 	TransferTime time.Duration
 	OverheadTime time.Duration
-	// H2DBytes and D2HBytes count the payload bytes moved.
+	// H2DBytes and D2HBytes count the payload bytes this query moved —
+	// its own, whatever else the devices ran meanwhile.
 	H2DBytes int64
 	D2HBytes int64
-	// Launches counts kernel dispatches; Chunks counts chunk iterations;
-	// Pipelines counts the query pipelines executed.
+	// Launches counts this query's kernel dispatches; Chunks counts chunk
+	// iterations; Pipelines counts the query pipelines executed.
 	Launches  int64
 	Chunks    int
 	Pipelines int
-	// PeakDeviceBytes is the device-memory high-water mark.
+	// PeakDeviceBytes is the device-memory high-water mark (device-wide,
+	// like the three times above).
 	PeakDeviceBytes int64
 	// Retries counts device operations re-issued after transient faults.
 	Retries int64

@@ -5,15 +5,13 @@ import (
 	"fmt"
 
 	"github.com/adamant-db/adamant/internal/bufpool"
+	"github.com/adamant-db/adamant/internal/device"
 	"github.com/adamant-db/adamant/internal/exec"
 	"github.com/adamant-db/adamant/internal/fault"
 	"github.com/adamant-db/adamant/internal/graph"
 	"github.com/adamant-db/adamant/internal/hub"
 	"github.com/adamant-db/adamant/internal/session"
 	"github.com/adamant-db/adamant/internal/shard"
-	"github.com/adamant-db/adamant/internal/telemetry"
-	"github.com/adamant-db/adamant/internal/trace"
-	"github.com/adamant-db/adamant/internal/vclock"
 )
 
 // ShardLossMode selects what a sharded engine does with a partition it
@@ -197,70 +195,27 @@ func (e *Engine) buildShards(cfg *engineConfig) {
 	e.coord = coord
 }
 
-// runSharded scatters one query over the shard fleet, mirroring the
-// unsharded path's telemetry bookkeeping. ok=false means the scatter
-// planner declined the plan and nothing ran — the caller executes
+// runSharded scatters one query over the shard fleet. ok=false means the
+// scatter planner declined the plan and nothing ran — the caller executes
 // unsharded on shard 0.
 func (e *Engine) runSharded(ctx context.Context, g *graph.Graph, opts exec.Options, priority int, shape string) (res *exec.Result, ok bool, err error) {
 	if _, accept := graph.Scatter(g); !accept {
 		return nil, false, nil
 	}
-	var (
-		tel             = e.tele
-		qid             uint64
-		devName, driver string
-		startVT         vclock.Time
-		mark            int
-	)
-	if tel != nil {
-		qid = tel.nextQuery.Add(1)
-		opts.QueryID = qid
-		opts.Events = tel.sink
-		if demand, derr := exec.EstimateDemand(g, opts); derr == nil {
-			devName, driver = e.primaryDevice(demand)
-		}
-		if opts.Recorder == nil {
-			opts.Recorder = trace.NewRecorder()
-		}
-		mark = opts.Recorder.Len()
-		startVT = e.vtNow()
-		tel.sink.Emit(telemetry.Event{
-			Type: telemetry.EventQueryStart, Query: qid,
-			VT: int64(startVT), Device: devName, Model: opts.Model.String(),
-		})
+	var demand map[device.ID]int64
+	if e.tele != nil {
+		// Only the metric labels need it; a plan the estimator rejects
+		// simply runs unlabelled.
+		demand, _ = exec.EstimateDemand(g, opts)
 	}
+	q := e.beginQuery(&opts, shape, demand)
 	res, scattered, runErr := e.coord.Run(ctx, g, opts, priority)
 	if !scattered {
 		// Scatter is deterministic, so the precheck should have caught
 		// this; fall back to the unsharded path regardless.
 		return nil, false, nil
 	}
-	if res != nil {
-		var failovers int64
-		for _, s := range res.Stats.Shards {
-			if s.FailedOver {
-				failovers++
-			}
-		}
-		e.metrics.ObserveQuery(trace.QueryStats{
-			Elapsed:      res.Stats.Elapsed,
-			KernelTime:   res.Stats.KernelTime,
-			TransferTime: res.Stats.TransferTime,
-			OverheadTime: res.Stats.OverheadTime,
-			H2DBytes:     res.Stats.H2DBytes,
-			D2HBytes:     res.Stats.D2HBytes,
-			Launches:     res.Stats.Launches,
-			Chunks:       res.Stats.Chunks,
-			Pipelines:    res.Stats.Pipelines,
-			Retries:      res.Stats.Retries,
-			Failovers:    failovers,
-			Err:          runErr != nil,
-		})
-	}
-	if tel != nil {
-		e.observeShardTelemetry(qid, res, opts.Model.String())
-		e.observeQueryTelemetry(qid, devName, driver, opts.Model.String(), shape, opts.Tenant,
-			startVT, res, runErr, opts.Recorder.Spans()[mark:])
-	}
+	e.observeShardTelemetry(q.id, res, opts.Model.String())
+	e.publishQuery(q, opts, res, runErr)
 	return res, true, runErr
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/adamant-db/adamant/internal/hub"
 	"github.com/adamant-db/adamant/internal/profile"
 	"github.com/adamant-db/adamant/internal/telemetry"
-	"github.com/adamant-db/adamant/internal/trace"
 	"github.com/adamant-db/adamant/internal/vclock"
 )
 
@@ -274,10 +273,12 @@ func (e *Engine) sampleUtilization() {
 
 // observeQueryTelemetry folds one finished query into the metric registry,
 // event log, utilization tracker, fleet profiler, and flight recorder.
-// res may be nil (the run failed before producing statistics); spans are
-// the query's recorded spans for profiling and flight retention.
-func (e *Engine) observeQueryTelemetry(qid uint64, dev, driver, model, shape, tenant string, startVT vclock.Time, res *exec.Result, runErr error, spans []trace.Span) {
+// res may be nil (the run failed before producing statistics); failovers
+// and degrades are publishQuery's counts of the query's runtime events.
+func (e *Engine) observeQueryTelemetry(q queryRun, opts exec.Options, res *exec.Result, runErr error, failovers, degrades int) {
 	t := e.tele
+	qid, dev, driver, model := q.id, q.dev, q.driver, opts.Model.String()
+	spans := opts.Recorder.Spans()[q.mark:]
 	errText := ""
 	if runErr != nil {
 		errText = runErr.Error()
@@ -287,14 +288,14 @@ func (e *Engine) observeQueryTelemetry(qid uint64, dev, driver, model, shape, te
 
 	digest := telemetry.QueryDigest{
 		Query: qid, Model: model, Device: dev,
-		StartNS: int64(startVT), Err: errText,
+		StartNS: int64(q.startVT), Err: errText,
 	}
 	finish := telemetry.Event{
 		Type: telemetry.EventQueryFinish, Query: qid,
 		Device: dev, Model: model, Err: errText,
 	}
 	prec := profile.QueryRecord{
-		Query: qid, Shape: shape, Tenant: tenant,
+		Query: qid, Shape: q.shape, Tenant: opts.Tenant,
 		Device: dev, Model: model, Err: runErr != nil, Spans: spans,
 	}
 	if res != nil {
@@ -304,15 +305,6 @@ func (e *Engine) observeQueryTelemetry(qid uint64, dev, driver, model, shape, te
 		t.d2hBytes.Observe(float64(s.D2HBytes), dev, model, driver)
 		t.chunks.Add(float64(s.Chunks), model)
 		t.retries.Add(float64(s.Retries), model)
-		var failovers, degrades int
-		for _, ev := range s.Events {
-			switch ev.Kind {
-			case exec.EventFailover:
-				failovers++
-			case exec.EventDegrade:
-				degrades++
-			}
-		}
 		t.failovers.Add(float64(failovers), model)
 		t.degrades.Add(float64(degrades), model)
 
