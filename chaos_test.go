@@ -95,7 +95,7 @@ func TestChaosSoak(t *testing.T) {
 	// pre-soak count.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseGoroutines+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+		runtime.Gosched()
 	}
 	if n := runtime.NumGoroutine(); n > baseGoroutines+2 {
 		buf := make([]byte, 1<<16)
@@ -115,10 +115,10 @@ func shardChaosAcceptable(err error) bool {
 // TestShardChaosSoak is the scatter/gather concurrency soak: randomized
 // sharded engines (fleet size, hedging, loss mode, fault schedules) run
 // storms of concurrent queries with racing cancellers and tight deadlines.
-// Hedged races, failovers and losses must only ever produce a baseline
-// answer, an explicitly flagged partial, or a typed error — and after
-// draining, memory returns to baseline on every shard with no goroutine
-// leak.
+// Hedged duplicates, failovers and losses must only ever produce a
+// baseline answer, an explicitly flagged partial, or a typed error — and
+// after each round, memory returns to baseline on every shard with no
+// goroutine leak.
 func TestShardChaosSoak(t *testing.T) {
 	const (
 		soak     = 2 * time.Second
@@ -143,10 +143,7 @@ func TestShardChaosSoak(t *testing.T) {
 			WithMaxConcurrent(2),
 		}
 		if rng.Intn(2) == 0 {
-			opts = append(opts, WithShardHedging(ShardHedgePolicy{
-				MinDelay: time.Millisecond,
-				Poll:     200 * time.Microsecond,
-			}))
+			opts = append(opts, WithShardHedging(ShardHedgePolicy{}))
 		}
 		if rng.Intn(2) == 0 {
 			opts = append(opts, WithShardLoss(ShardLossPartial))
@@ -192,7 +189,7 @@ func TestShardChaosSoak(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseGoroutines+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+		runtime.Gosched()
 	}
 	if n := runtime.NumGoroutine(); n > baseGoroutines+2 {
 		buf := make([]byte, 1<<16)

@@ -84,7 +84,7 @@ func run(ctx context.Context) error {
 	fuse := flag.Bool("fuse", false, "rewrite fusible filter/map/aggregate chains into single-pass fused kernels before executing")
 	auto := flag.Bool("auto", false, "auto-plan: calibrate a cost catalog, then let it pick placement, execution model and chunk size (-model/-chunk become hints it overrides)")
 	shards := flag.Int("shards", 1, "scatter the query over N independent runtime shards and gather exact merged results (1 = off)")
-	hedge := flag.Bool("hedge", false, "with -shards, hedge straggling partitions: duplicate them on idle shards, first result wins")
+	hedge := flag.Bool("hedge", false, "with -shards, hedge straggling partitions: duplicate them in virtual time on the shard that frees up first, earlier completion wins")
 	profileOn := flag.Bool("profile", false, "fold every run into the fleet profiler and print the per-shape resource ledger")
 	sloSpec := flag.String("slo", "", "latency SLO as target:objective, e.g. 100ms:0.99 (implies -profile; with -serve, enables /slo burn tracking)")
 	tenant := flag.String("tenant", "", "tenant label for profiler attribution")
@@ -354,9 +354,6 @@ func run(ctx context.Context) error {
 		if *repeat > 1 {
 			fmt.Printf("run %d/%d: simulated %v\n", i+1, *repeat, res.Stats.Elapsed)
 		}
-	}
-	if coord != nil {
-		defer coord.Drain()
 	}
 	cancelled := errors.Is(err, context.Canceled)
 	if err != nil && !(cancelled && res != nil) {

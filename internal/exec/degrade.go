@@ -112,9 +112,10 @@ const (
 	// resized the chunk (ChunkFrom -> ChunkTo) after observed pipeline
 	// cardinality drifted from the estimate, and the attempt restarted.
 	EventReplan
-	// EventHedge records the shard coordinator launching a duplicate of a
-	// straggling shard request on an idle peer (From: the straggler's shard
-	// index, To: the hedge target's shard index, as pseudo device IDs).
+	// EventHedge records the shard coordinator running a duplicate of a
+	// straggling partition on the peer that frees up first (From: the
+	// straggler's shard index, To: the hedge target's shard index, as
+	// pseudo device IDs).
 	EventHedge
 	// EventShardFailover records a shard partition re-dispatched onto a
 	// healthy peer after its shard died mid-query.

@@ -331,14 +331,16 @@ type ShardStat struct {
 	Ran   int
 	// Rows is the partition's input row count.
 	Rows int
-	// Elapsed is the partition's accepted virtual execution time (the
-	// hedged path's ledger time when the hedge won); Wall is host time.
+	// Elapsed is the partition's accepted virtual completion time: the
+	// primary's elapsed, or, when the hedge won, the duplicate's ready
+	// time plus its own elapsed. Wall is host time, a measurement only.
 	Elapsed vclock.Duration
 	Wall    time.Duration
-	// Hedged marks a duplicate request launched after the shard straggled
-	// past the hedge threshold; HedgeWon marks the duplicate finishing
-	// first. FailedOver marks the partition re-dispatched after its shard
-	// died; Lost marks an unrecoverable partition (Partial mode only).
+	// Hedged marks a duplicate run after the partition's virtual elapsed
+	// passed the hedge threshold; HedgeWon marks the duplicate completing
+	// earlier in virtual time. FailedOver marks the partition re-dispatched
+	// after its shard died; Lost marks an unrecoverable partition (Partial
+	// mode only).
 	Hedged     bool
 	HedgeWon   bool
 	FailedOver bool

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/adamant-db/adamant/internal/bufpool"
-	"github.com/adamant-db/adamant/internal/device"
 	"github.com/adamant-db/adamant/internal/driver/simcuda"
 	"github.com/adamant-db/adamant/internal/exec"
 	"github.com/adamant-db/adamant/internal/hub"
@@ -16,30 +14,18 @@ import (
 	"github.com/adamant-db/adamant/internal/vclock"
 )
 
-// stallDevice wall-clock-stalls every kernel launch — the host-time
-// straggler a wedged shard would be. Virtual timings stay untouched, so
-// only wall time (and the hedging that bounds it) changes.
-type stallDevice struct {
-	device.Device
-	delay time.Duration
-}
-
-func (s *stallDevice) Execute(req device.ExecRequest, ready vclock.Time) (vclock.Time, error) {
-	time.Sleep(s.delay)
-	return s.Device.Execute(req, ready)
-}
-
 // shardFleet builds n single-GPU shards, each its own runtime with an
-// optional buffer pool; stall, when nonzero, brakes the last shard.
-func shardFleet(n int, pooled bool, stall time.Duration) ([]shard.Shard, error) {
+// optional buffer pool; brake, when above 1, slows the last shard's GPU
+// that many times over.
+func shardFleet(n int, pooled bool, brake float64) ([]shard.Shard, error) {
 	shards := make([]shard.Shard, n)
 	for i := range shards {
 		rt := hub.NewRuntime()
-		var d device.Device = simcuda.New(&simhw.Setup1.GPU, nil)
-		if stall > 0 && i == n-1 {
-			d = &stallDevice{Device: d, delay: stall}
+		spec := &simhw.Setup1.GPU
+		if brake > 1 && i == n-1 {
+			spec = spec.Slowed(brake)
 		}
-		if _, err := rt.Register(d); err != nil {
+		if _, err := rt.Register(simcuda.New(spec, nil)); err != nil {
 			return nil, err
 		}
 		var pool *bufpool.Manager
@@ -59,8 +45,8 @@ func shardFleet(n int, pooled bool, stall time.Duration) ([]shard.Shard, error) 
 // of 1, 2, 4 and 8 runtime shards, cold (pools empty) and warm (base
 // columns pooled per shard after two priming runs). Virtual elapsed time
 // is the max over partitions, so throughput grows with the fleet; the
-// straggler phase then brakes one shard in host time and shows hedged
-// retries bounding the wall-clock tail the straggler would otherwise set.
+// straggler phase then brakes one shard 16-fold and shows a hedged
+// duplicate bounding the virtual tail the straggler would otherwise set.
 func ShardScale(cfg Config, w io.Writer) error {
 	const sf = 100
 	ds, err := cfg.dataset(sf)
@@ -103,7 +89,6 @@ func ShardScale(cfg Config, w io.Writer) error {
 			}
 			elapsed[i] = res.Stats.Elapsed
 		}
-		coord.Drain()
 		if n == 1 {
 			coldBase, warmBase = elapsed[0], elapsed[2]
 		}
@@ -117,31 +102,27 @@ func ShardScale(cfg Config, w io.Writer) error {
 		return err
 	}
 
-	// Straggler cell: 4 shards, the last one stalling every launch in host
-	// time. Unhedged, the query's wall clock is gated on the straggler;
-	// hedged, the duplicate attempt on an idle healthy shard wins. The cell
-	// runs on a 16x smaller slice so the injected stall dominates the
-	// healthy shards' own host time and the hedge threshold stays sharp —
-	// the effect under test is the race, not kernel throughput.
+	// Straggler cell: 4 shards, the last one's GPU 16x slower in compute,
+	// launch and every link (OAAT Q6 is transfer-bound, so a compute-only
+	// brake would not make it straggle). Unhedged, the query's elapsed is
+	// the straggler's; hedged, the duplicate on the shard that frees up
+	// first finishes earlier. The cell runs OAAT on a 16x smaller slice to
+	// stay cheap.
 	sds, err := tpch.Generate(tpch.Config{SF: sf, Ratio: cfg.ratio() / 16, Seed: cfg.Seed})
 	if err != nil {
 		return err
 	}
-	stall := 50 * time.Millisecond
-	if cfg.Quick {
-		stall = 15 * time.Millisecond
-	}
-	strag := NewTable("Shard straggler: 4 shards, one stalling every launch in host time (wall milliseconds)",
-		"query", "mode", "wall ms", "hedge wins")
-	strag.Note = "virtual elapsed is identical in both modes; hedging only bounds host wall time"
+	strag := NewTable("Shard straggler: 4 shards, one braked 16x (virtual milliseconds)",
+		"query", "mode", "elapsed ms", "hedge wins")
+	strag.Note = "hedging duplicates the straggling partition in virtual time; host wall time grows, since duplicates run after the primaries"
 	for _, mode := range []struct {
 		label string
 		hedge shard.HedgePolicy
 	}{
 		{"unhedged", shard.HedgePolicy{}},
-		{"hedged", shard.HedgePolicy{Enabled: true, MinDelay: time.Millisecond, Poll: 200 * time.Microsecond}},
+		{"hedged", shard.HedgePolicy{Enabled: true}},
 	} {
-		shards, err := shardFleet(4, false, stall)
+		shards, err := shardFleet(4, false, 16)
 		if err != nil {
 			return err
 		}
@@ -153,11 +134,9 @@ func ShardScale(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		start := time.Now()
 		res, scattered, err := coord.Run(cfg.Context(), g, exec.Options{
 			Model: exec.OperatorAtATime,
 		}, 0)
-		wall := time.Since(start)
 		if err != nil {
 			return err
 		}
@@ -170,8 +149,7 @@ func ShardScale(cfg Config, w io.Writer) error {
 				wins++
 			}
 		}
-		coord.Drain()
-		strag.Add("Q6", mode.label, fmt.Sprintf("%.1f", float64(wall)/float64(time.Millisecond)), wins)
+		strag.Add("Q6", mode.label, millis(res.Stats.Elapsed), wins)
 	}
 	return cfg.reportPhase(w, "shard", "straggler", strag)
 }

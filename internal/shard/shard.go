@@ -11,9 +11,10 @@
 // runs unsharded. On top of that the coordinator adds the tail-latency and
 // fault machinery a fleet of runtimes needs: per-shard virtual-time
 // deadlines (each partition gets the query's budget on its own clock),
-// hedged retries (a duplicate request for a straggling partition on an
-// idle peer, first result wins), bounded retry-then-failover when a shard
-// dies mid-query, and a configurable shard-loss mode that either fails the
+// hedged retries decided in virtual time (a straggling partition is
+// duplicated on the peer that frees up first, and the earlier virtual
+// completion wins), bounded retry-then-failover when a shard dies
+// mid-query, and a configurable shard-loss mode that either fails the
 // query with a typed error or returns the surviving partitions flagged in
 // Stats.PartialShards. A sharded query therefore returns the exact answer,
 // a typed error, or an explicitly flagged partial answer — never a silent
@@ -107,27 +108,23 @@ func (m LossMode) String() string {
 }
 
 // HedgePolicy configures hedged retries for straggling partitions. The
-// policy is wall-clock based: virtual clocks are per-shard and advance
-// only as work completes, so a wedged or genuinely slow shard is visible
-// only in host time.
+// decision is taken in virtual time once every primary attempt has
+// finished, so the same plan on the same fleet always hedges the same
+// partitions with the same outcome.
 type HedgePolicy struct {
 	// Enabled arms hedging.
 	Enabled bool
 	// Factor scales the peer quantile into the hedge threshold: a
-	// partition still running after Factor × quantile(completed peer
-	// walls) is a straggler. Default 2.
+	// partition whose virtual elapsed exceeds Factor × quantile(other
+	// partitions' elapsed) is a straggler. Default 2.
 	Factor float64
-	// Quantile is the completed-peer wall-time quantile the threshold
-	// derives from, in [0,1]. Default 0.5 (the median).
+	// Quantile is the peer-elapsed quantile the threshold derives from,
+	// in [0,1]. Default 0.5 (the median).
 	Quantile float64
-	// MinPeers is how many partitions must have completed before any
-	// hedge fires (the quantile is meaningless earlier). Default 2.
+	// MinPeers is how many other partitions must have completed before a
+	// partition may be hedged (the quantile is meaningless earlier).
+	// Default 2.
 	MinPeers int
-	// MinDelay floors the threshold so near-instant peers cannot trigger
-	// hedges on scheduling noise. Default 2ms.
-	MinDelay time.Duration
-	// Poll is the straggler-check interval. Default 500µs.
-	Poll time.Duration
 }
 
 func (p HedgePolicy) normalized() HedgePolicy {
@@ -139,12 +136,6 @@ func (p HedgePolicy) normalized() HedgePolicy {
 	}
 	if p.MinPeers <= 0 {
 		p.MinPeers = 2
-	}
-	if p.MinDelay <= 0 {
-		p.MinDelay = 2 * time.Millisecond
-	}
-	if p.Poll <= 0 {
-		p.Poll = 500 * time.Microsecond
 	}
 	return p
 }
@@ -182,11 +173,8 @@ type Coordinator struct {
 	cfg          Config
 	maxFailovers int
 
-	mu     sync.Mutex
-	dead   []bool
-	active []int
-
-	wg sync.WaitGroup
+	mu   sync.Mutex
+	dead []bool
 }
 
 // New validates the configuration and returns a coordinator.
@@ -213,7 +201,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:          cfg,
 		maxFailovers: maxFailovers,
 		dead:         make([]bool, len(cfg.Shards)),
-		active:       make([]int, len(cfg.Shards)),
 	}, nil
 }
 
@@ -243,11 +230,6 @@ func (c *Coordinator) ReviveAll() {
 	c.mu.Unlock()
 }
 
-// Drain blocks until every in-flight attempt — including cancelled hedge
-// losers abandoned by first-result-wins races — has exited. Harnesses call
-// it before asserting on pool or memory baselines.
-func (c *Coordinator) Drain() { c.wg.Wait() }
-
 // markDead flags a shard dead and invalidates its buffer pool so doomed
 // leases drain instead of pinning the dead runtime's cache entries.
 func (c *Coordinator) markDead(s int) {
@@ -260,42 +242,26 @@ func (c *Coordinator) markDead(s int) {
 	}
 }
 
-// pickHealthy returns the first live shard other than exclude, in index
-// order (deterministic failover targets).
-func (c *Coordinator) pickHealthy(exclude int) (int, bool) {
+// pickPeer returns the live shard other than exclude whose own work ends
+// earliest in virtual time (finish, indexed by shard), lowest index on
+// ties. A nil finish picks in index order: the deterministic failover
+// target.
+func (c *Coordinator) pickPeer(exclude int, finish []vclock.Duration) (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	best := -1
 	for i := range c.cfg.Shards {
-		if i != exclude && !c.dead[i] {
-			return i, true
+		if i != exclude && !c.dead[i] && (best < 0 || finish != nil && finish[i] < finish[best]) {
+			best = i
 		}
 	}
-	return 0, false
-}
-
-// pickIdle returns a live shard other than exclude with no attempt
-// currently running — the hedge target.
-func (c *Coordinator) pickIdle(exclude int) (int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.cfg.Shards {
-		if i != exclude && !c.dead[i] && c.active[i] == 0 {
-			return i, true
-		}
-	}
-	return 0, false
+	return best, best >= 0
 }
 
 func (c *Coordinator) isDead(s int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dead[s]
-}
-
-func (c *Coordinator) trackActive(s, delta int) {
-	c.mu.Lock()
-	c.active[s] += delta
-	c.mu.Unlock()
 }
 
 // Run executes g scattered over the shard set. priority orders each
@@ -341,13 +307,11 @@ func (c *Coordinator) Run(ctx context.Context, g *graph.Graph, opts exec.Options
 	}
 	wg.Wait()
 
+	var lost []int
 	for p := range outs {
 		if outs[p].err != nil {
 			return nil, true, outs[p].err
 		}
-	}
-	var lost []int
-	for p := range outs {
 		if outs[p].lost {
 			lost = append(lost, p)
 		}
@@ -360,6 +324,9 @@ func (c *Coordinator) Run(ctx context.Context, g *graph.Graph, opts exec.Options
 		}
 	}
 
+	if c.cfg.Hedge.Enabled {
+		r.hedge(ctx, outs, start)
+	}
 	cols, err := gather(spec, outs)
 	if err != nil {
 		return nil, true, err
@@ -398,15 +365,6 @@ type partOut struct {
 	err    error
 }
 
-// attemptDone is one attempt's outcome inside a hedged race.
-type attemptDone struct {
-	res   *exec.Result
-	rec   *trace.Recorder
-	shard int
-	hedge bool
-	err   error
-}
-
 // runState is the per-query coordinator state.
 type runState struct {
 	c        *Coordinator
@@ -414,36 +372,6 @@ type runState struct {
 	graphs   []*graph.Graph
 	bounds   []int
 	priority int
-
-	mu    sync.Mutex
-	walls []time.Duration
-}
-
-func (r *runState) recordWall(w time.Duration) {
-	r.mu.Lock()
-	r.walls = append(r.walls, w)
-	r.mu.Unlock()
-}
-
-// hedgeThreshold derives the current straggler threshold from completed
-// peers, or reports that not enough peers have finished yet.
-func (r *runState) hedgeThreshold() (time.Duration, bool) {
-	h := r.c.cfg.Hedge
-	r.mu.Lock()
-	if len(r.walls) < h.MinPeers {
-		r.mu.Unlock()
-		return 0, false
-	}
-	sorted := make([]time.Duration, len(r.walls))
-	copy(sorted, r.walls)
-	r.mu.Unlock()
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	q := sorted[int(float64(len(sorted)-1)*h.Quantile)]
-	th := time.Duration(float64(q) * h.Factor)
-	if th < h.MinDelay {
-		th = h.MinDelay
-	}
-	return th, true
 }
 
 func (r *runState) emit(t telemetry.EventType, shard int, detail string) {
@@ -461,16 +389,16 @@ func (r *runState) emit(t telemetry.EventType, shard int, detail string) {
 
 // attempt runs one partition once on one shard: per-shard admission (the
 // shard's own scheduler, budgets and queue), then execution on the shard's
-// runtime with the shard's buffer pool. The partition inherits the query's
-// full virtual-time deadline on the shard's own clocks — shards execute
-// concurrently in virtual time, so each partition must individually fit
-// the budget for the scattered query to fit it.
-func (r *runState) attempt(ctx context.Context, p, s int) (*exec.Result, *trace.Recorder, error) {
+// runtime with the shard's buffer pool, under the given virtual-time
+// deadline on the shard's own clocks. A primary inherits the query's full
+// deadline — shards execute concurrently in virtual time, so each
+// partition must individually fit the budget for the scattered query to
+// fit it.
+func (r *runState) attempt(ctx context.Context, p, s int, deadline vclock.Duration) (*exec.Result, *trace.Recorder, error) {
 	sh := r.c.cfg.Shards[s]
-	r.c.trackActive(s, 1)
-	defer r.c.trackActive(s, -1)
 	aopts := r.opts
 	aopts.Pool = sh.Pool
+	aopts.Deadline = deadline
 	if r.opts.Recorder.Enabled() {
 		aopts.Recorder = trace.NewRecorder()
 	}
@@ -489,108 +417,17 @@ func (r *runState) attempt(ctx context.Context, p, s int) (*exec.Result, *trace.
 	return res, aopts.Recorder, err
 }
 
-// race runs a partition on its assigned shard, hedging a duplicate onto an
-// idle peer if the attempt exceeds the straggler threshold. First
-// successful result wins; the loser's context is cancelled and the
-// abandoned attempt drains in the background (releasing its admission
-// grant and pool leases on exit) so the winner's latency is not gated on
-// it. The returned outcome is the winner's, or the primary's error when
-// both attempts fail.
-func (r *runState) race(ctx context.Context, p, s int) (attemptDone, bool) {
-	primCtx, cancelPrim := context.WithCancel(ctx)
-	defer cancelPrim()
-	ch := make(chan attemptDone, 2)
-	r.c.wg.Add(1)
-	go func() {
-		defer r.c.wg.Done()
-		res, rec, err := r.attempt(primCtx, p, s)
-		ch <- attemptDone{res: res, rec: rec, shard: s, err: err}
-	}()
-
-	h := r.c.cfg.Hedge
-	var (
-		hedgeCancel   context.CancelFunc
-		hedgeLaunched bool // a hedge is currently in flight
-		hedgedEver    bool // any hedge launched during this race
-		straggled     bool
-		primFail      *attemptDone
-	)
-	defer func() {
-		if hedgeCancel != nil {
-			hedgeCancel()
-		}
-	}()
-	var pollC <-chan time.Time
-	if h.Enabled {
-		t := time.NewTicker(h.Poll)
-		defer t.Stop()
-		pollC = t.C
-	}
-	start := time.Now()
-	for {
-		select {
-		case d := <-ch:
-			if d.err == nil {
-				return d, hedgedEver
-			}
-			if d.hedge {
-				if primFail != nil {
-					return *primFail, hedgedEver
-				}
-				// The hedge lost to a fault; keep waiting for the primary.
-				hedgeLaunched = false
-				continue
-			}
-			if hedgeLaunched {
-				// Primary failed with a hedge in flight: its result (or
-				// error) decides next, so wait for it.
-				primFail = &d
-				continue
-			}
-			return d, hedgedEver
-		case <-pollC:
-			if hedgeLaunched || primFail != nil {
-				continue
-			}
-			th, ok := r.hedgeThreshold()
-			if !ok || time.Since(start) < th {
-				continue
-			}
-			if !straggled {
-				straggled = true
-				r.emit(telemetry.EventShardStraggler, s,
-					fmt.Sprintf("partition %d running %v, threshold %v", p, time.Since(start).Round(time.Microsecond), th))
-			}
-			hs, idle := r.c.pickIdle(s)
-			if !idle {
-				continue
-			}
-			hedgeLaunched = true
-			hedgedEver = true
-			r.emit(telemetry.EventShardHedge, hs, fmt.Sprintf("partition %d duplicated from %s", p, r.c.cfg.Shards[s].Name))
-			hctx, hc := context.WithCancel(ctx)
-			hedgeCancel = hc
-			r.c.wg.Add(1)
-			go func() {
-				defer r.c.wg.Done()
-				res, rec, err := r.attempt(hctx, p, hs)
-				ch <- attemptDone{res: res, rec: rec, shard: hs, hedge: true, err: err}
-			}()
-		}
-	}
-}
-
 // runPartition drives one partition to an accepted result, a typed error,
-// or (under LossPartial) an explicit loss: hedged races on the assigned
+// or (under LossPartial) an explicit loss: an attempt on the assigned
 // shard, bounded failover onto healthy peers when a shard dies.
 func (r *runState) runPartition(ctx context.Context, p int) partOut {
 	c := r.c
 	out := partOut{stat: exec.ShardStat{Shard: p, Ran: p, Rows: r.bounds[p+1] - r.bounds[p]}}
 	assigned := p
 	if c.isDead(p) {
-		next, ok := c.pickHealthy(p)
+		next, ok := c.pickPeer(p, nil)
 		if !ok {
-			return r.losePartition(ctx, &out, p, p, errors.New("no healthy shard"))
+			return r.losePartition(&out, p, p, errors.New("no healthy shard"))
 		}
 		out.stat.FailedOver = true
 		out.events = append(out.events, exec.RuntimeEvent{Kind: exec.EventShardFailover, From: device.ID(p), To: device.ID(next)})
@@ -600,33 +437,28 @@ func (r *runState) runPartition(ctx context.Context, p int) partOut {
 	failovers := 0
 	start := time.Now()
 	for {
-		d, hedged := r.race(ctx, p, assigned)
-		if hedged {
-			out.stat.Hedged = true
-		}
-		if d.err == nil {
-			out.res, out.rec = d.res, d.rec
-			out.stat.Ran = d.shard
-			out.stat.HedgeWon = d.hedge
-			out.stat.Elapsed = d.res.Stats.Elapsed
+		res, rec, err := r.attempt(ctx, p, assigned, r.opts.Deadline)
+		if err == nil {
+			out.res, out.rec = res, rec
+			out.stat.Ran = assigned
+			out.stat.Elapsed = res.Stats.Elapsed
 			out.stat.Wall = time.Since(start)
-			r.recordWall(out.stat.Wall)
 			return out
 		}
 		if ctx.Err() != nil {
-			out.err = d.err
+			out.err = err
 			return out
 		}
 		var dl *exec.DeviceLostError
-		if !errors.As(d.err, &dl) {
+		if !errors.As(err, &dl) {
 			// Deadline, admission, OOM, validation: typed failures the
 			// caller must see — failing over would mask a real limit.
-			out.err = d.err
+			out.err = err
 			return out
 		}
 		c.markDead(assigned)
 		if failovers < c.maxFailovers {
-			if next, ok := c.pickHealthy(assigned); ok {
+			if next, ok := c.pickPeer(assigned, nil); ok {
 				failovers++
 				out.stat.FailedOver = true
 				out.events = append(out.events, exec.RuntimeEvent{Kind: exec.EventShardFailover, From: device.ID(assigned), To: device.ID(next)})
@@ -635,13 +467,86 @@ func (r *runState) runPartition(ctx context.Context, p int) partOut {
 				continue
 			}
 		}
-		return r.losePartition(ctx, &out, p, assigned, d.err)
+		return r.losePartition(&out, p, assigned, err)
+	}
+}
+
+// hedge duplicates straggling partitions in virtual time, once every
+// primary has finished. For each partition in index order, the threshold
+// is Factor × the Quantile of the other partitions' virtual elapsed. A
+// partition over it is re-run on the live shard whose own work ends
+// earliest, starting at ready = max(threshold, that shard's finish), and
+// the earlier of the two completions is kept. A duplicate that cannot
+// finish first is not run; one that fails is discarded. The duplicate
+// advances its shard's finish, so two duplicates never overlap on one
+// shard.
+func (r *runState) hedge(ctx context.Context, outs []partOut, start time.Time) {
+	h := r.c.cfg.Hedge
+	finish := make([]vclock.Duration, len(r.c.cfg.Shards))
+	for p := range outs {
+		if o := &outs[p]; !o.lost {
+			finish[o.stat.Ran] = max(finish[o.stat.Ran], o.stat.Elapsed)
+		}
+	}
+	var peers []vclock.Duration
+	for p := range outs {
+		o := &outs[p]
+		if o.lost {
+			continue
+		}
+		peers = peers[:0]
+		for q := range outs {
+			if q != p && !outs[q].lost {
+				peers = append(peers, outs[q].stat.Elapsed)
+			}
+		}
+		if len(peers) < h.MinPeers {
+			continue
+		}
+		sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+		th := vclock.Duration(float64(peers[int(float64(len(peers)-1)*h.Quantile)]) * h.Factor)
+		primary := o.stat.Elapsed
+		if primary <= th {
+			continue
+		}
+		r.emit(telemetry.EventShardStraggler, o.stat.Ran, fmt.Sprintf("partition %d took %v, threshold %v", p, primary, th))
+		s, ok := r.c.pickPeer(o.stat.Ran, finish)
+		if !ok {
+			continue
+		}
+		ready := max(th, finish[s])
+		if ready >= primary {
+			continue
+		}
+		deadline := r.opts.Deadline
+		if deadline > 0 {
+			// Zero would disable the deadline, not exhaust it.
+			if deadline -= ready; deadline <= 0 {
+				continue
+			}
+		}
+		if ctx.Err() != nil {
+			return
+		}
+		o.stat.Hedged = true
+		r.emit(telemetry.EventShardHedge, s, fmt.Sprintf("partition %d duplicated from %s at %v", p, r.c.cfg.Shards[o.stat.Ran].Name, ready))
+		res, rec, err := r.attempt(ctx, p, s, deadline)
+		if err != nil {
+			continue
+		}
+		done := ready + res.Stats.Elapsed
+		finish[s] = done
+		if done < primary {
+			o.res, o.rec = res, rec
+			o.stat.Ran, o.stat.HedgeWon, o.stat.Elapsed = s, true, done
+			o.stat.Wall = time.Since(start)
+		}
 	}
 }
 
 // losePartition finalizes an unrecoverable partition under the configured
 // loss mode.
-func (r *runState) losePartition(_ context.Context, out *partOut, p, shard int, cause error) partOut {
+func (r *runState) losePartition(out *partOut, p, shard int, cause error) partOut {
 	out.events = append(out.events, exec.RuntimeEvent{Kind: exec.EventShardLost, From: device.ID(shard)})
 	r.emit(telemetry.EventShardLost, shard, fmt.Sprintf("partition %d unrecoverable: %v", p, cause))
 	if r.c.cfg.Loss == LossPartial {
@@ -655,9 +560,10 @@ func (r *runState) losePartition(_ context.Context, out *partOut, p, shard int, 
 }
 
 // assemble folds the per-partition stats into the query's Stats: virtual
-// elapsed is the max across partitions (shards run concurrently on
-// independent clocks), counters sum over the accepted attempts (abandoned
-// hedge losers are not counted), and the event log concatenates
+// elapsed is the max of the partitions' completion times (shards run
+// concurrently on independent clocks, and a winning duplicate completes
+// at its ready time plus its own elapsed), counters sum over the accepted
+// attempts (losing duplicates are not counted), and the event log concatenates
 // coordinator events and per-attempt events in partition order.
 func (r *runState) assemble(outs []partOut, wall time.Duration) exec.Stats {
 	var st exec.Stats
@@ -670,10 +576,8 @@ func (r *runState) assemble(outs []partOut, wall time.Duration) exec.Stats {
 			st.PartialShards = append(st.PartialShards, p)
 			continue
 		}
+		st.Elapsed = max(st.Elapsed, o.stat.Elapsed)
 		s := &o.res.Stats
-		if s.Elapsed > st.Elapsed {
-			st.Elapsed = s.Elapsed
-		}
 		st.KernelTime += s.KernelTime
 		st.TransferTime += s.TransferTime
 		st.OverheadTime += s.OverheadTime

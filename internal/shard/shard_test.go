@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
-	"time"
 
 	"github.com/adamant-db/adamant/internal/device"
 	"github.com/adamant-db/adamant/internal/driver/simcuda"
@@ -27,31 +25,18 @@ import (
 	"github.com/adamant-db/adamant/internal/vec"
 )
 
-// brakeDevice wall-clock-stalls every kernel launch: the host-time
-// straggler a wedged or oversubscribed shard would be. Virtual timings are
-// untouched, so results and stats stay bit-identical.
-type brakeDevice struct {
-	device.Device
-	delay time.Duration
-}
-
-func (b *brakeDevice) Execute(req device.ExecRequest, ready vclock.Time) (vclock.Time, error) {
-	time.Sleep(b.delay)
-	return b.Device.Execute(req, ready)
-}
-
 // fleet builds n single-GPU shards, each with its own runtime and
-// scheduler. brake[i], when set, wraps shard i's device in a launch stall.
-func fleet(t *testing.T, n int, brake map[int]time.Duration) []shard.Shard {
+// scheduler. brake[i], when set, slows shard i's GPU that many times over.
+func fleet(t *testing.T, n int, brake map[int]float64) []shard.Shard {
 	t.Helper()
 	shards := make([]shard.Shard, n)
 	for i := range shards {
 		rt := hub.NewRuntime()
-		var d device.Device = simcuda.New(&simhw.RTX2080Ti, nil)
-		if delay, ok := brake[i]; ok {
-			d = &brakeDevice{Device: d, delay: delay}
+		spec := &simhw.RTX2080Ti
+		if k, ok := brake[i]; ok {
+			spec = spec.Slowed(k)
 		}
-		if _, err := rt.Register(d); err != nil {
+		if _, err := rt.Register(simcuda.New(spec, nil)); err != nil {
 			t.Fatal(err)
 		}
 		shards[i] = shard.Shard{
@@ -220,7 +205,6 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 					t.Fatalf("%s: planner declined the group graph", label)
 				}
 				sameColumns(t, label+" group", wantGroup, gotGroup)
-				c.Drain()
 			}
 		}
 	}
@@ -335,7 +319,6 @@ func TestShardFailover(t *testing.T) {
 	if st := got2.Stats.Shards[1]; !st.FailedOver || st.Ran == 1 {
 		t.Errorf("post-death partition 1 stat = %+v", st)
 	}
-	c.Drain()
 }
 
 // TestShardLossModes: with every shard dead the Fail mode surfaces a typed
@@ -406,7 +389,6 @@ func TestShardLossModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameColumns(t, "partial", want, got)
-	cp.Drain()
 }
 
 // TestShardDeadlineTyped: the query's virtual-time budget applies per shard
@@ -429,19 +411,14 @@ func TestShardDeadlineTyped(t *testing.T) {
 	}
 }
 
-// TestHedgingBoundsTailLatency is the straggler acceptance case: on a
-// fleet whose last shard stalls every kernel launch in host time, hedged
-// runs complete near the healthy shards' pace while unhedged runs are
-// gated on the straggler. The hedged tail (max of the runs) must stay
-// under twice the unhedged median — comfortably, since the hedge escapes
-// a stall tens of times longer than the healthy wall time.
-func TestHedgingBoundsTailLatency(t *testing.T) {
+// hedgeRuns runs the wide graph runs times on fresh four-shard fleets
+// whose shard 3 is braked k-fold, checking every answer against the
+// unsharded one, and returns the results.
+func hedgeRuns(t *testing.T, runs int, k float64, hedge shard.HedgePolicy, sink *telemetry.EventSink) []*exec.Result {
+	t.Helper()
 	const rows = 2048
-	const runs = 5
 	a, b := randomData(23, rows)
 	opts := exec.Options{Model: exec.OperatorAtATime}
-	brake := map[int]time.Duration{3: 20 * time.Millisecond}
-
 	baseRT := hub.NewRuntime()
 	if _, err := baseRT.Register(simcuda.New(&simhw.RTX2080Ti, nil)); err != nil {
 		t.Fatal(err)
@@ -450,53 +427,75 @@ func TestHedgingBoundsTailLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	measure := func(c *shard.Coordinator, expectHedge bool) []time.Duration {
-		t.Helper()
-		walls := make([]time.Duration, 0, runs)
-		for i := 0; i < runs; i++ {
-			start := time.Now()
-			got, scattered, err := c.Run(context.Background(), wideGraph(t, 0, a, b, 500), opts, 0)
-			if err != nil || !scattered {
-				t.Fatalf("run %d: scattered=%v err=%v", i, scattered, err)
-			}
-			walls = append(walls, time.Since(start))
-			sameColumns(t, fmt.Sprintf("hedge run %d", i), want, got)
-			st := got.Stats.Shards[3]
-			if expectHedge && !(st.Hedged && st.HedgeWon && st.Ran != 3) {
-				t.Errorf("run %d: straggler partition stat = %+v, want a winning hedge off shard 3", i, st)
-			}
+	out := make([]*exec.Result, runs)
+	for i := range out {
+		c, err := shard.New(shard.Config{Shards: fleet(t, 4, map[int]float64{3: k}), Hedge: hedge, Events: sink})
+		if err != nil {
+			t.Fatal(err)
 		}
-		c.Drain()
-		return walls
+		got, scattered, err := c.Run(context.Background(), wideGraph(t, 0, a, b, 500), opts, 0)
+		if err != nil || !scattered {
+			t.Fatalf("run %d: scattered=%v err=%v", i, scattered, err)
+		}
+		sameColumns(t, fmt.Sprintf("brake %gx run %d", k, i), want, got)
+		out[i] = got
 	}
+	return out
+}
 
-	unhedged, err := shard.New(shard.Config{Shards: fleet(t, 4, brake)})
-	if err != nil {
-		t.Fatal(err)
+// TestHedgingBoundsVirtualTail is the straggler acceptance case: on a
+// fleet whose last shard is 16x slower, the hedged query duplicates the
+// straggling partition on shard 0 (the earliest to finish, lowest index)
+// and completes earlier in virtual time than the unhedged one. The
+// decision reads only virtual times, so every run reports the same
+// elapsed to the nanosecond.
+func TestHedgingBoundsVirtualTail(t *testing.T) {
+	const runs = 3
+	slow := hedgeRuns(t, 1, 16, shard.HedgePolicy{}, nil)[0]
+	if st := slow.Stats.Shards[3]; st.Hedged || st.Ran != 3 {
+		t.Fatalf("unhedged straggler stat = %+v", st)
 	}
-	slowWalls := measure(unhedged, false)
-
-	hedged, err := shard.New(shard.Config{
-		Shards: fleet(t, 4, brake),
-		Hedge: shard.HedgePolicy{
-			Enabled:  true,
-			MinDelay: time.Millisecond,
-			Poll:     200 * time.Microsecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	sink := telemetry.NewEventSink(64)
+	fast := hedgeRuns(t, runs, 16, shard.HedgePolicy{Enabled: true}, sink)
+	totals := sink.Totals()
+	if totals[telemetry.EventShardStraggler] != runs || totals[telemetry.EventShardHedge] != runs {
+		t.Errorf("events %v, want one shard_straggler and one shard_hedge per run", totals)
 	}
-	fastWalls := measure(hedged, true)
+	for i, got := range fast {
+		st := got.Stats.Shards[3]
+		if !(st.Hedged && st.HedgeWon && st.Ran == 0) {
+			t.Errorf("run %d: straggler partition stat = %+v, want a winning hedge on shard 0", i, st)
+		}
+		if got.Stats.Elapsed != st.Elapsed {
+			t.Errorf("run %d: query elapsed %v, want the hedged partition's completion %v", i, got.Stats.Elapsed, st.Elapsed)
+		}
+		if got.Stats.Elapsed >= slow.Stats.Elapsed {
+			t.Errorf("run %d: hedged elapsed %v not below unhedged %v", i, got.Stats.Elapsed, slow.Stats.Elapsed)
+		}
+		if got.Stats.Elapsed != fast[0].Stats.Elapsed {
+			t.Errorf("run %d: hedged elapsed %v differs from run 0's %v", i, got.Stats.Elapsed, fast[0].Stats.Elapsed)
+		}
+	}
+	t.Logf("unhedged %v, hedged %v", slow.Stats.Elapsed, fast[0].Stats.Elapsed)
+}
 
-	sort.Slice(slowWalls, func(i, j int) bool { return slowWalls[i] < slowWalls[j] })
-	sort.Slice(fastWalls, func(i, j int) bool { return fastWalls[i] < fastWalls[j] })
-	median := slowWalls[len(slowWalls)/2]
-	tail := fastWalls[len(fastWalls)-1]
-	t.Logf("unhedged median %v, hedged tail %v", median, tail)
-	if tail > 2*median {
-		t.Errorf("hedged tail %v exceeds 2x unhedged median %v", tail, median)
+// TestHedgeSkippedWhenItCannotWin: a mild brake keeps the slow partition
+// under the threshold, so no duplicate runs and the primary's elapsed is
+// what the query reports.
+func TestHedgeSkippedWhenItCannotWin(t *testing.T) {
+	plain := hedgeRuns(t, 1, 1.5, shard.HedgePolicy{}, nil)[0]
+	sink := telemetry.NewEventSink(64)
+	got := hedgeRuns(t, 1, 1.5, shard.HedgePolicy{Enabled: true}, sink)[0]
+	st := got.Stats.Shards[3]
+	if st.Hedged || st.HedgeWon || st.Ran != 3 {
+		t.Errorf("mildly braked partition stat = %+v, want no hedge", st)
+	}
+	if n := sink.Totals()[telemetry.EventShardHedge]; n != 0 {
+		t.Errorf("%d shard_hedge events, want 0", n)
+	}
+	if st.Elapsed != plain.Stats.Shards[3].Elapsed || got.Stats.Elapsed != plain.Stats.Elapsed {
+		t.Errorf("elapsed %v (partition %v), want the unhedged %v (partition %v)",
+			got.Stats.Elapsed, st.Elapsed, plain.Stats.Elapsed, plain.Stats.Shards[3].Elapsed)
 	}
 }
 
@@ -535,5 +534,4 @@ func TestShardTraceGrafted(t *testing.T) {
 	if len(childOf) != 3 {
 		t.Errorf("only %d containers have grafted children", len(childOf))
 	}
-	c.Drain()
 }

@@ -266,3 +266,21 @@ var (
 func AllGPUs() []Spec {
 	return []Spec{GTX1050, GTX1080, RTX2080Ti, A100}
 }
+
+// Slowed returns a copy of s that is k times slower everywhere: compute
+// throughput (stream, random, atomic) and every link's peak bandwidth are
+// divided by k, and the kernel launch and link latencies multiplied by it.
+// It models a straggling device in virtual time, whether a query on it is
+// compute-, launch- or transfer-bound.
+func (s *Spec) Slowed(k float64) *Spec {
+	b := *s
+	b.StreamGBps /= k
+	b.RandomGBps /= k
+	b.AtomicMops /= k
+	b.KernelLaunch = vclock.Duration(float64(b.KernelLaunch) * k)
+	for _, l := range []*LinkCurve{&b.Links.H2DPageable, &b.Links.H2DPinned, &b.Links.D2HPageable, &b.Links.D2HPinned} {
+		l.PeakGBps /= k
+		l.Latency = vclock.Duration(float64(l.Latency) * k)
+	}
+	return &b
+}

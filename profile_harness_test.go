@@ -50,20 +50,15 @@ func TestShardPartialEvent(t *testing.T) {
 }
 
 // TestProfileShardStraggler is the braked-shard end-to-end: shard 3 of a
-// four-shard fleet gets a device whose bandwidth and atomic throughput are
-// 16x slower than its peers — same device name, so its spans anchor
+// four-shard fleet gets a device 16x slower than its peers in compute,
+// kernel launch (small chunks are dominated by it) and links — same device
+// name, so its spans anchor
 // against the rate the healthy shards trained into the detector's catalog.
 // The hot shard must show up in the per-shard utilization strip, the
 // sustained rate deviation must fire a perf_anomaly event, and the
 // straggling query's trace must be auto-retained in the flight recorder.
 func TestProfileShardStraggler(t *testing.T) {
-	braked := simhw.RTX2080Ti
-	braked.StreamGBps /= 16
-	braked.RandomGBps /= 16
-	braked.AtomicMops /= 16
-	// Small chunks are dominated by the fixed dispatch cost, so the brake
-	// has to cover it too or the slowdown vanishes at fine granularity.
-	braked.KernelLaunch *= 16
+	braked := simhw.RTX2080Ti.Slowed(16)
 
 	eng := NewEngine(WithShards(4)).
 		WithTelemetry(TelemetryConfig{}).
@@ -72,7 +67,7 @@ func TestProfileShardStraggler(t *testing.T) {
 	if _, err := eng.PlugMaker(func() device.Device {
 		spec := &simhw.RTX2080Ti
 		if plugged == 3 {
-			spec = &braked
+			spec = braked
 		}
 		plugged++
 		return simcuda.New(spec, nil)

@@ -11,9 +11,10 @@ go test -race -run '^TestChaosSoak$' .
 # Likewise the telemetry balance test: concurrent queries + scrapes over
 # one engine is the data-race surface of the observability layer.
 go test -race -run '^TestTelemetryRaceBalance$' .
-# The shard chaos soak likewise: hedged races, failover and loss draining
-# concurrently over one coordinator is the data-race surface of scatter/
-# gather, so it runs race-enabled even if the blanket line is narrowed.
+# The shard chaos soak likewise: concurrent queries scattering, hedging,
+# failing over and losing partitions on one coordinator is the data-race
+# surface of scatter/gather, so it runs race-enabled even if the blanket
+# line is narrowed.
 go test -race -run '^TestShardChaosSoak$' .
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sql
 go test -run '^$' -fuzz '^FuzzLex$' -fuzztime 10s ./internal/sql
@@ -35,6 +36,17 @@ cmp "$tracedir/a.json" "$tracedir/b.json" || {
 	exit 1
 }
 echo "ci: golden-trace determinism OK ($(wc -c <"$tracedir/a.json") bytes)"
+
+# Experiment determinism: every -quick table, shard hedging included, is
+# computed in virtual time, so two fresh processes must print
+# byte-identical output.
+go run ./cmd/adamant-bench -quick >"$tracedir/bench-a.txt"
+go run ./cmd/adamant-bench -quick >"$tracedir/bench-b.txt"
+cmp "$tracedir/bench-a.txt" "$tracedir/bench-b.txt" || {
+	echo "ci: adamant-bench -quick not byte-identical across two runs" >&2
+	exit 1
+}
+echo "ci: adamant-bench -quick determinism OK ($(grep -c '^== ' "$tracedir/bench-a.txt") tables)"
 
 # Telemetry service smoke: boot `adamant-run -serve` on an ephemeral port,
 # scrape /metrics, and validate the Prometheus text exposition line by

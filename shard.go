@@ -31,8 +31,9 @@ const (
 )
 
 // ShardHedgePolicy configures hedged retries for straggling partitions
-// (see WithShardHedging). The zero value of each field takes the
-// documented default.
+// (see WithShardHedging): Factor, Quantile and MinPeers shape the
+// virtual-time straggler threshold. The zero value of each field takes
+// the documented default.
 type ShardHedgePolicy = shard.HedgePolicy
 
 // ShardStat summarizes one partition of a sharded execution: which shard
@@ -94,11 +95,14 @@ func WithShardFailovers(n int) EngineOption {
 	return func(c *engineConfig) { c.shardFail = n }
 }
 
-// WithShardHedging arms hedged retries for straggling partitions: when a
-// partition's wall time exceeds Factor × the Quantile of its completed
-// peers, a duplicate attempt launches on an idle healthy shard and the
-// first result wins (the loser is cancelled through its context). Only
-// meaningful together with WithShards.
+// WithShardHedging arms hedged retries for straggling partitions. Once
+// every partition has finished, one whose virtual elapsed exceeds Factor
+// × the Quantile of its peers' is duplicated on the live shard that frees
+// up first, starting no earlier than the threshold, and the earlier
+// virtual completion wins. The decision reads only virtual time, so it is
+// reproducible; the price is host wall time, since duplicates run after
+// the primaries (Stats.Wall reports it). Only meaningful together with
+// WithShards.
 func WithShardHedging(p ShardHedgePolicy) EngineOption {
 	return func(c *engineConfig) {
 		p.Enabled = true
@@ -123,15 +127,6 @@ func (e *Engine) DeadShards() []int {
 		return nil
 	}
 	return e.coord.Dead()
-}
-
-// DrainShards blocks until every in-flight shard attempt — including
-// cancelled hedge losers abandoned by first-result-wins races — has
-// exited. Harnesses drain before asserting on memory or pool baselines.
-func (e *Engine) DrainShards() {
-	if e.coord != nil {
-		e.coord.Drain()
-	}
 }
 
 // buildShards assembles the per-shard engine stacks and the coordinator

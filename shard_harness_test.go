@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/adamant-db/adamant/internal/device"
+	"github.com/adamant-db/adamant/internal/driver/simcuda"
 	"github.com/adamant-db/adamant/internal/fault"
+	"github.com/adamant-db/adamant/internal/simhw"
 )
 
 // The sharded differential harness: the same random plans the fault
@@ -18,11 +21,10 @@ import (
 
 var harnessShardCounts = []int{1, 2, 3, 4, 6, 8}
 
-// checkShardMemBaseline drains in-flight shard attempts (hedge losers
-// included) and asserts every device on every shard released its memory.
+// checkShardMemBaseline asserts every device on every shard released its
+// memory (no shard attempt outlives the query that started it).
 func checkShardMemBaseline(t *testing.T, eng *Engine, label string) {
 	t.Helper()
-	eng.DrainShards()
 	for s, sc := range eng.shardCtxs {
 		for i, d := range sc.rt.Devices() {
 			ms := d.MemStats()
@@ -290,7 +292,6 @@ func TestShardLossDrainsPool(t *testing.T) {
 	if !shardHarnessTypedError(err) {
 		t.Fatalf("all-shards-dead error = %v, want typed", err)
 	}
-	eng.DrainShards()
 	for s, sc := range eng.shardCtxs {
 		if got := sc.pool.Stats().CachedBytes; got != 0 {
 			t.Errorf("shard %d pool still caches %d bytes after shard loss", s, got)
@@ -300,12 +301,24 @@ func TestShardLossDrainsPool(t *testing.T) {
 }
 
 // TestShardTelemetryFacade: sharded queries surface in the adamant_shard_*
-// metric families alongside the usual per-query counters.
+// metric families alongside the usual per-query counters. Shard 3 of the
+// four is plugged with a 16x slower GPU, so its partition straggles and
+// the hedged duplicate on a healthy shard wins.
 func TestShardTelemetryFacade(t *testing.T) {
 	drv := harnessDrivers[0]
-	seed := pickScatteringSeed(t, drv, 2)
-	eng := harnessEngine(t, drv, nil, WithShards(2),
-		WithShardHedging(ShardHedgePolicy{})).WithTelemetry(TelemetryConfig{})
+	seed := pickScatteringSeed(t, drv, 4)
+	eng := NewEngine(WithShards(4), WithShardHedging(ShardHedgePolicy{})).WithTelemetry(TelemetryConfig{})
+	var plugged int
+	if _, err := eng.PlugMaker(func() device.Device {
+		spec := &simhw.RTX2080Ti
+		if plugged == 3 {
+			spec = spec.Slowed(16)
+		}
+		plugged++
+		return simcuda.New(spec, nil)
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Execute(buildHarnessPlan(eng, seed), ExecOptions{Model: Chunked, ChunkElems: 256}); err != nil {
 		t.Fatal(err)
 	}
@@ -319,6 +332,11 @@ func TestShardTelemetryFacade(t *testing.T) {
 	}
 	if !strings.Contains(prom, "adamant_queries_total") {
 		t.Errorf("per-query counters missing from sharded run:\n%s", prom)
+	}
+	for _, family := range []string{"adamant_shard_hedges_total", "adamant_shard_hedge_wins_total"} {
+		if !strings.Contains(prom, "\n"+family+" 1\n") {
+			t.Errorf("%s does not read 1:\n%s", family, prom)
+		}
 	}
 }
 
