@@ -74,9 +74,9 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// CostModel supplies the measured transfer cost used by cost-aware
+// TransferRate supplies the measured transfer cost used by cost-aware
 // eviction. *trace.Metrics implements it with its EWMA ns/byte.
-type CostModel interface {
+type TransferRate interface {
 	NsPerByte() float64
 }
 
@@ -99,7 +99,7 @@ type Config struct {
 	Policy Policy
 	// Cost supplies ns/byte for cost-aware eviction; nil falls back to
 	// size-only ordering (equivalent, since the EWMA is global).
-	Cost CostModel
+	Cost TransferRate
 	// Device resolves a device ID to the runtime's device (the
 	// fault-wrapped instance), used to free evicted buffers and mark
 	// pooled ownership. Required.

@@ -236,7 +236,7 @@ func TestAcquireDeclinesWhenFullyLeased(t *testing.T) {
 	r.audit(t)
 }
 
-// fixedCost is a CostModel pinned to a constant.
+// fixedCost is a TransferRate pinned to a constant.
 type fixedCost float64
 
 func (c fixedCost) NsPerByte() float64 { return float64(c) }

@@ -288,8 +288,9 @@ func (s *Sim) PrepareKernel(name, _ string) error {
 }
 
 // Execute implements Device: validate the launch, price it (SDK launch and
-// argument-mapping overhead plus the kernel's own cost model), schedule it
-// on the compute engine, and run the kernel body natively.
+// argument-mapping overhead plus the SDK's price of the traffic the kernel
+// declares), schedule it on the compute engine, and run the kernel body
+// natively.
 func (s *Sim) Execute(req ExecRequest, ready vclock.Time) (vclock.Time, error) {
 	k, err := s.cfg.Registry.Lookup(req.Kernel)
 	if err != nil {
@@ -320,9 +321,8 @@ func (s *Sim) Execute(req ExecRequest, ready vclock.Time) (vclock.Time, error) {
 		return ready, err
 	}
 
-	m := kernels.CostModel{Spec: s.cfg.Spec, SDK: s.cfg.SDK}
 	launch := s.cfg.SDK.Launch(s.cfg.Spec, len(req.Args))
-	body := k.Cost(m, args, req.Params)
+	body := s.cfg.SDK.Price(s.cfg.Spec, k.TrafficOf(args, req.Params))
 	start, end := s.computeTL.Schedule(ready, launch+body)
 	s.record("compute", req.Kernel, start, end)
 

@@ -222,8 +222,7 @@ func TestRuntimeCompilation(t *testing.T) {
 	reg := kernels.NewRegistry()
 	reg.Register(&kernels.Kernel{
 		Name: "custom_noop", NArgs: 0,
-		Fn:   func(*kernels.Ctx, []vec.Vector, []int64) error { return nil },
-		Cost: func(kernels.CostModel, []vec.Vector, []int64) vclock.Duration { return 0 },
+		Fn: func(*kernels.Ctx, []vec.Vector, []int64) error { return nil },
 	})
 	d := NewSim(SimConfig{Spec: &simhw.RTX2080Ti, SDK: &simhw.OpenCLGPUProfile, Format: devmem.FormatOpenCL, Registry: reg})
 
@@ -245,8 +244,7 @@ func TestRuntimeCompilation(t *testing.T) {
 	// A kernel registered after Initialize needs PrepareKernel.
 	reg.Register(&kernels.Kernel{
 		Name: "late_kernel", NArgs: 0,
-		Fn:   func(*kernels.Ctx, []vec.Vector, []int64) error { return nil },
-		Cost: func(kernels.CostModel, []vec.Vector, []int64) vclock.Duration { return 0 },
+		Fn: func(*kernels.Ctx, []vec.Vector, []int64) error { return nil },
 	})
 	if _, err := d.Execute(ExecRequest{Kernel: "late_kernel"}, 0); !errors.Is(err, ErrKernelNotPrepared) {
 		t.Errorf("unprepared late kernel: %v", err)

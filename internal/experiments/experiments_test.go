@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,8 +18,14 @@ import (
 
 var quickCfg = Config{Quick: true, Seed: 7}
 
-// TestAllGeneratorsRun smoke-runs every experiment in quick mode and checks
-// that each emits its titled report.
+// update rewrites the quick-mode golden reports instead of diffing against
+// them: go test ./internal/experiments -run TestAllGeneratorsRun -update
+var update = flag.Bool("update", false, "rewrite testdata/quick golden reports")
+
+// TestAllGeneratorsRun runs every experiment in quick mode, checks that each
+// emits its titled report, and compares the report byte for byte with
+// testdata/quick/<name>.txt. Every quick table is virtual time over seeded
+// data, so any difference is a moved cell.
 func TestAllGeneratorsRun(t *testing.T) {
 	titles := map[string]string{
 		"table2":     "Table II",
@@ -46,8 +56,44 @@ func TestAllGeneratorsRun(t *testing.T) {
 			if strings.Count(sb.String(), "\n") < 5 {
 				t.Error("suspiciously short report")
 			}
+			golden := filepath.Join("testdata", "quick", name+".txt")
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create)", err)
+			}
+			if got := sb.String(); got != string(want) {
+				t.Errorf("%s: quick report differs from %s at %s", name, golden, diffLines(got, string(want)))
+			}
 		})
 	}
+}
+
+// diffLines reports the first line where got and want diverge.
+func diffLines(got, want string) string {
+	g := strings.Split(got, "\n")
+	w := strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		gl, wl := "<EOF>", "<EOF>"
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n  got:  %s\n  want: %s", i+1, gl, wl)
+		}
+	}
+	return "contents equal"
 }
 
 func TestLookupUnknown(t *testing.T) {

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/adamant-db/adamant/internal/kernels"
 	"github.com/adamant-db/adamant/internal/simhw"
 	"github.com/adamant-db/adamant/internal/tpch"
 	"github.com/adamant-db/adamant/internal/vclock"
@@ -98,7 +97,6 @@ type Result struct {
 // DB is a configured baseline instance.
 type DB struct {
 	cfg Config
-	m   kernels.CostModel
 	sdk simhw.SDKProfile
 }
 
@@ -107,9 +105,7 @@ func New(cfg Config) *DB {
 	if cfg.GPU == nil {
 		panic("heavysim: Config.GPU is required")
 	}
-	db := &DB{cfg: cfg, sdk: simhw.CUDAProfile}
-	db.m = kernels.CostModel{Spec: cfg.GPU, SDK: &db.sdk}
-	return db
+	return &DB{cfg: cfg, sdk: simhw.CUDAProfile}
 }
 
 // tables returns the tables a query references.

@@ -5,7 +5,7 @@ import (
 	"math"
 	"sync"
 
-	"github.com/adamant-db/adamant/internal/vclock"
+	"github.com/adamant-db/adamant/internal/simhw"
 	"github.com/adamant-db/adamant/internal/vec"
 )
 
@@ -68,9 +68,9 @@ func (op AggOp) combine(acc, v int64) int64 {
 	}
 }
 
-func aggCost(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
-	// Tree reduction: one streaming pass over the input.
-	return m.SDK.Stream(m.Spec, args[0].Bytes())
+// aggTraffic is a tree reduction: one streaming pass over the input.
+func aggTraffic(args []vec.Vector, _ []int64) simhw.Traffic {
+	return simhw.Traffic{Seq: args[0].Bytes()}
 }
 
 // AggBlockI64 reduces an int64 column to a scalar (the AGG_BLOCK primitive,
@@ -91,7 +91,7 @@ var AggBlockI64 = register(&Kernel{
 		out[0] = op.combine2(out[0], reduceI64(ctx, in, op))
 		return nil
 	},
-	Cost: aggCost,
+	Traffic: aggTraffic,
 })
 
 // AggBlockI32 reduces an int32 column into an int64 scalar, accumulating
@@ -138,7 +138,7 @@ var AggBlockI32 = register(&Kernel{
 		out[0] = op.combine2(out[0], acc)
 		return nil
 	},
-	Cost: aggCost,
+	Traffic: aggTraffic,
 })
 
 // AggCountBits counts the set bits of a bitmap into out[0] (COUNT over a
@@ -160,7 +160,7 @@ var AggCountBits = register(&Kernel{
 		out[0] += int64(bm.Popcount())
 		return nil
 	},
-	Cost: aggCost,
+	Traffic: aggTraffic,
 })
 
 // combine2 merges two already-reduced partials; COUNT partials add rather
@@ -259,11 +259,7 @@ var SortAggI32I64 = register(&Kernel{
 		outCount[0] = int64(groups)
 		return nil
 	},
-	Cost: func(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
-		var in int64
-		for _, a := range args[:3] {
-			in += a.Bytes()
-		}
-		return m.SDK.Stream(m.Spec, in)
+	Traffic: func(args []vec.Vector, _ []int64) simhw.Traffic {
+		return simhw.Traffic{Seq: argBytes(args[:3])}
 	},
 })

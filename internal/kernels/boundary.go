@@ -28,7 +28,6 @@ var MapBoundaryI32 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })
 
 // PrefixSumInclusiveI32 computes the inclusive prefix sum of an int32
@@ -51,5 +50,5 @@ var PrefixSumInclusiveI32 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: prefixCost,
+	Traffic: prefixTraffic,
 })

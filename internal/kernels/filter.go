@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/adamant-db/adamant/internal/vclock"
+	"github.com/adamant-db/adamant/internal/simhw"
 	"github.com/adamant-db/adamant/internal/vec"
 )
 
@@ -101,7 +101,6 @@ var FilterBitmapI32 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })
 
 // FilterBitmapI64 is FilterBitmapI32 for int64 columns (derived measures
@@ -136,7 +135,6 @@ var FilterBitmapI64 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })
 
 // BitmapAnd intersects two bitmaps, combining conjunctive filter results.
@@ -146,7 +144,6 @@ var BitmapAnd = register(&Kernel{
 	NArgs:  3,
 	Source: "__kernel bitmap_and(a, b, out) { out.word[w] = a.word[w] & b.word[w]; }",
 	Fn:     bitmapCombine(func(x, y uint64) uint64 { return x & y }),
-	Cost:   streamCost,
 })
 
 // BitmapOr unions two bitmaps. Args: a(Bits), b(Bits), out(Bits).
@@ -155,7 +152,6 @@ var BitmapOr = register(&Kernel{
 	NArgs:  3,
 	Source: "__kernel bitmap_or(a, b, out) { out.word[w] = a.word[w] | b.word[w]; }",
 	Fn:     bitmapCombine(func(x, y uint64) uint64 { return x | y }),
-	Cost:   streamCost,
 })
 
 // BitmapNot complements a bitmap (NOT IN anti-joins). Trailing bits beyond
@@ -181,7 +177,6 @@ var BitmapNot = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })
 
 // BitmapAndNot computes a AND NOT b, used for anti-join style filters.
@@ -191,7 +186,6 @@ var BitmapAndNot = register(&Kernel{
 	NArgs:  3,
 	Source: "__kernel bitmap_andnot(a, b, out) { out.word[w] = a.word[w] & ~b.word[w]; }",
 	Fn:     bitmapCombine(func(x, y uint64) uint64 { return x &^ y }),
-	Cost:   streamCost,
 })
 
 func bitmapCombine(f func(x, y uint64) uint64) Func {
@@ -291,9 +285,8 @@ var FilterPosI32 = register(&Kernel{
 		outCount[0] = int64(total)
 		return nil
 	},
-	Cost: func(m CostModel, args []vec.Vector, params []int64) vclock.Duration {
+	Traffic: func(args []vec.Vector, _ []int64) simhw.Traffic {
 		// Two passes over the input plus a scatter of the survivors.
-		in := args[0].Bytes()
-		return m.SDK.Stream(m.Spec, 2*in) + m.SDK.Random(m.Spec, args[1].Bytes()/4)
+		return simhw.Traffic{Seq: 2 * args[0].Bytes(), Random: args[1].Bytes() / 4}
 	},
 })

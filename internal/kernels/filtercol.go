@@ -43,5 +43,4 @@ var FilterBitmapColCmpI32 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"github.com/adamant-db/adamant/internal/vclock"
 	"github.com/adamant-db/adamant/internal/vec"
 )
 
@@ -19,7 +18,10 @@ import (
 // chain touches, and each row is filtered, mapped and reduced (or
 // compacted) without ever leaving registers. This mirrors what data-path
 // fusion / kernel compilation buys engines like HeavyDB: no intermediate
-// allocations, one launch latency, one streaming read of the inputs.
+// allocations, one launch latency, one streaming read of the inputs. So
+// the fused kernels declare no Traffic: the default single streaming pass
+// over base columns and outputs, with no materialization penalty, is their
+// whole price.
 //
 // Parameter layout, shared by both fused kernels:
 //
@@ -252,14 +254,6 @@ func decodeFused(name string, args []vec.Vector, params []int64, nOut int) (*fus
 	return p, base + 4, nil
 }
 
-// fusedCost prices a fused launch as one streaming pass over the base
-// columns plus the (tiny or survivor-sized) outputs — the single-pass win:
-// no per-primitive launches, no bitmap or gathered-column intermediates,
-// no materialization penalty.
-func fusedCost(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
-	return streamCost(m, args, nil)
-}
-
 // FusedFilterAgg filters, maps and block-reduces in one pass: the fused form
 // of a FILTER_BITMAP* → (AND…) → MATERIALIZE* → MAP → AGG_BLOCK chain. The
 // result accumulates into out[0] across chunks like agg_block_*. Args:
@@ -323,7 +317,6 @@ var FusedFilterAgg = register(&Kernel{
 		args[len(args)-1].I64()[0] = op.combine2(out.I64()[0], acc)
 		return nil
 	},
-	Cost: fusedCost,
 })
 
 // FusedFilterMat filters, maps and compacts survivors into a dense column
@@ -428,5 +421,4 @@ var FusedFilterMat = register(&Kernel{
 		outCount[0] = int64(total)
 		return nil
 	},
-	Cost: fusedCost,
 })

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"github.com/adamant-db/adamant/internal/vclock"
+	"github.com/adamant-db/adamant/internal/simhw"
 	"github.com/adamant-db/adamant/internal/vec"
 )
 
@@ -66,20 +66,15 @@ var HashTableInit = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })
 
-// buildCost prices the contended insertion path of HASH_BUILD / HASH_AGG:
-// one atomic CAS per input row plus scattered writes. Contention grows with
-// the shared global table's size — larger tables thrash more cache lines —
-// which is the degradation Figure 9(d) shows.
-func buildCost(m CostModel, n, slots int64, extra float64) vclock.Duration {
-	contention := 1 + extra
-	if slots > 1<<12 {
-		doublings := math.Log2(float64(slots) / float64(int64(1)<<12))
-		contention += m.SDK.BuildScalePenalty * doublings
-	}
-	return m.SDK.Atomic(m.Spec, n, contention) + m.SDK.Random(m.Spec, 16*n)
+// buildTraffic is the contended insertion path of HASH_BUILD: one atomic
+// CAS per input row plus scattered slot writes into the shared table. The
+// SDK prices contention by the table's slot count — larger tables thrash
+// more cache lines — which is the degradation Figure 9(d) shows.
+func buildTraffic(args []vec.Vector, _ []int64) simhw.Traffic {
+	n := int64(args[0].Len())
+	return simhw.Traffic{Atomics: n, Random: 16 * n, Slots: int64(args[1].Len() / 2)}
 }
 
 // insert performs a lock-free linear-probing insert, invoking onClaim with
@@ -161,9 +156,7 @@ var HashBuildPKI32 = register(&Kernel{
 		}
 		return nil
 	},
-	Cost: func(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
-		return buildCost(m, int64(args[0].Len()), int64(args[1].Len()/2), 0)
-	},
+	Traffic: buildTraffic,
 })
 
 // HashBuildSetI32 populates a key set (payload 1), the build side of a
@@ -195,9 +188,7 @@ var HashBuildSetI32 = register(&Kernel{
 		}
 		return nil
 	},
-	Cost: func(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
-		return buildCost(m, int64(args[0].Len()), int64(args[1].Len()/2), 0)
-	},
+	Traffic: buildTraffic,
 })
 
 // HashProbeI32 probes the table with a key column and emits join pairs:
@@ -248,7 +239,7 @@ var HashProbeI32 = register(&Kernel{
 		outCount[0] = cursor
 		return nil
 	},
-	Cost: probeCost,
+	Traffic: probeTraffic,
 })
 
 // HashProbeExistsI32 probes the table and marks matching probe rows in a
@@ -286,30 +277,20 @@ var HashProbeExistsI32 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: probeCost,
+	Traffic: probeTraffic,
 })
 
-func probeCost(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
-	n := int64(args[0].Len())
-	slots := int64(args[1].Len() / 2)
-	// One random table access per probe; larger tables thrash caches, so
-	// the same size scaling as builds applies, without the atomic path.
-	contention := 1.0
-	if slots > 1<<12 {
-		contention += m.SDK.BuildScalePenalty * 0.8 * math.Log2(float64(slots)/float64(int64(1)<<12))
-	}
-	pen := m.SDK.ProbePenalty
-	if pen <= 0 {
-		pen = 1
-	}
-	return vclock.Duration(float64(m.SDK.Random(m.Spec, 16*n)) * contention * pen)
+// probeTraffic is one random table access per probe row; larger tables
+// thrash caches, so the SDK scales it by the table's slot count too.
+func probeTraffic(args []vec.Vector, _ []int64) simhw.Traffic {
+	return simhw.Traffic{Probe: 16 * int64(args[0].Len()), Slots: int64(args[1].Len() / 2)}
 }
 
 // HashAggI32I64 performs group-by aggregation of an int64 value column by
 // an int32 key column into a shared table (the HASH_AGG primitive, a
 // pipeline breaker). Accumulates across chunks. Args: keys(I32),
-// values(I64), table(I64); params: op, groupsHint (used only by the cost
-// model; pass 0 when unknown).
+// values(I64), table(I64); params: op, groupsHint (read only to price the
+// launch; pass 0 when unknown).
 var HashAggI32I64 = register(&Kernel{
 	Name:    "hash_agg_i32_i64",
 	NArgs:   3,
@@ -342,11 +323,14 @@ var HashAggI32I64 = register(&Kernel{
 		}
 		return nil
 	},
-	Cost: hashAggCost,
+	Traffic: func(args []vec.Vector, params []int64) simhw.Traffic {
+		return hashAggTraffic(args, params[1])
+	},
 })
 
 // HashAggCountI32 counts rows per int32 key into a shared table. Args:
-// keys(I32), table(I64); params: groupsHint.
+// keys(I32), table(I64); params: groupsHint. The hint is deliberately left
+// unpriced, so the launch pays no group-scaling contention.
 var HashAggCountI32 = register(&Kernel{
 	Name:    "hash_agg_count_i32",
 	NArgs:   2,
@@ -374,8 +358,8 @@ var HashAggCountI32 = register(&Kernel{
 		}
 		return nil
 	},
-	Cost: func(m CostModel, args []vec.Vector, params []int64) vclock.Duration {
-		return hashAggCost(m, args, params[:0])
+	Traffic: func(args []vec.Vector, _ []int64) simhw.Traffic {
+		return hashAggTraffic(args, 0)
 	},
 })
 
@@ -411,20 +395,12 @@ func atomicAgg(t []int64, p int, op AggOp, v int64) {
 	}
 }
 
-func hashAggCost(m CostModel, args []vec.Vector, params []int64) vclock.Duration {
-	n := int64(args[0].Len())
-	groups := int64(0)
-	if len(params) >= 2 {
-		groups = params[1]
-	}
-	// All SIMT threads funnel through one memory controller; static
-	// scheduling (OpenCL) degrades sharply as groups spread across more
-	// cache lines, CUDA much less (Figure 9(c)).
-	contention := 1.0
-	if groups > 1 {
-		contention += m.SDK.GroupScalePenalty * math.Log2(float64(groups))
-	}
-	return m.SDK.Atomic(m.Spec, n, contention) + m.SDK.Stream(m.Spec, args[0].Bytes()+args[1].Bytes())
+// hashAggTraffic is one atomic update per row plus a streaming pass over
+// the first two arguments. All SIMT threads funnel through one memory
+// controller; the SDK prices the spread over groups (static scheduling
+// degrades sharply as groups cover more cache lines, Figure 9(c)).
+func hashAggTraffic(args []vec.Vector, groups int64) simhw.Traffic {
+	return simhw.Traffic{Atomics: int64(args[0].Len()), Seq: args[0].Bytes() + args[1].Bytes(), Groups: groups}
 }
 
 // HashExtract compacts the non-empty slots of a table into dense key and
@@ -464,8 +440,8 @@ var HashExtract = register(&Kernel{
 		outCount[0] = int64(at)
 		return nil
 	},
-	Cost: func(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
-		return m.SDK.Stream(m.Spec, 2*args[0].Bytes())
+	Traffic: func(args []vec.Vector, _ []int64) simhw.Traffic {
+		return simhw.Traffic{Seq: 2 * args[0].Bytes()}
 	},
 })
 

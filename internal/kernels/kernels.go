@@ -6,8 +6,10 @@
 // pool) plus a flat list of scalar parameters, mirroring how clSetKernelArg
 // or a CUDA launch passes arguments. Kernels compute real results on the
 // host (data-parallel across goroutines, standing in for the SIMT/SIMD
-// execution of the modelled device) and expose a separate cost function
-// that prices the launch on a given device/SDK combination in virtual time.
+// execution of the modelled device). They do not price themselves: each
+// declares the memory traffic a launch generates from its argument shapes
+// (simhw.Traffic), and the device prices that traffic under its SDK with
+// simhw.SDKProfile.Price.
 //
 // The kernel set covers Table I of the paper: MAP, AGG_BLOCK, HASH_AGG,
 // HASH_BUILD, HASH_PROBE, SORT_AGG, FILTER_BITMAP, FILTER_POSITION,
@@ -23,7 +25,6 @@ import (
 	"sync"
 
 	"github.com/adamant-db/adamant/internal/simhw"
-	"github.com/adamant-db/adamant/internal/vclock"
 	"github.com/adamant-db/adamant/internal/vec"
 )
 
@@ -47,24 +48,14 @@ func (c *Ctx) workers() int {
 	return c.Workers
 }
 
-// CostModel is the device/SDK pair a launch is priced against.
-type CostModel struct {
-	Spec *simhw.Spec
-	SDK  *simhw.SDKProfile
-}
-
 // Func is a kernel body. args are the buffer arguments in kernel-specific
 // order; params are scalar parameters. Kernels that produce a variable-sized
 // result write its cardinality into a designated 1-element Int64 argument,
 // the way GPU kernels return counts through device memory.
 type Func func(ctx *Ctx, args []vec.Vector, params []int64) error
 
-// CostFunc prices one launch, excluding the SDK's fixed launch/argument
-// mapping overhead (the device driver adds that per Figure 10).
-type CostFunc func(m CostModel, args []vec.Vector, params []int64) vclock.Duration
-
-// Kernel bundles a primitive implementation with its cost model and the
-// metadata the task layer needs to validate launches.
+// Kernel bundles a primitive implementation with the traffic it declares
+// and the metadata the task layer needs to validate launches.
 type Kernel struct {
 	Name string
 	// NArgs is the expected buffer argument count. Negative means the
@@ -78,7 +69,27 @@ type Kernel struct {
 	// on SDKs with runtime compilation.
 	Source string
 	Fn     Func
-	Cost   CostFunc
+	// Traffic declares the memory work of one launch from the arguments'
+	// lengths and byte sizes and the scalar params, never from buffer
+	// contents. Nil means one streaming pass over every argument.
+	Traffic func(args []vec.Vector, params []int64) simhw.Traffic
+}
+
+// TrafficOf returns the traffic one launch of k declares.
+func (k *Kernel) TrafficOf(args []vec.Vector, params []int64) simhw.Traffic {
+	if k.Traffic == nil {
+		return simhw.Traffic{Seq: argBytes(args)}
+	}
+	return k.Traffic(args, params)
+}
+
+// argBytes sums the byte sizes of args.
+func argBytes(args []vec.Vector) int64 {
+	var bytes int64
+	for _, a := range args {
+		bytes += a.Bytes()
+	}
+	return bytes
 }
 
 // Validate checks a launch's argument shape.

@@ -11,9 +11,6 @@ import (
 // testCtx runs kernels with a few workers so parallel paths execute.
 var testCtx = &Ctx{Workers: 4}
 
-// costModel is a fixed device/SDK pair for cost checks.
-var costModel = CostModel{Spec: &simhw.RTX2080Ti, SDK: &simhw.CUDAProfile}
-
 func mustLookup(t *testing.T, name string) *Kernel {
 	t.Helper()
 	k, err := NewRegistry().Lookup(name)
@@ -33,10 +30,10 @@ func launch(t *testing.T, name string, args []vec.Vector, params ...int64) {
 	if err := k.Fn(testCtx, args, params); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	// Kernel body costs may round to zero for tiny inputs (the device adds
+	// Kernel body prices may round to zero for tiny inputs (the device adds
 	// launch overhead separately) but must never be negative.
-	if cost := k.Cost(costModel, args, params); cost < 0 {
-		t.Fatalf("%s: negative cost %v", name, cost)
+	if cost := simhw.CUDAProfile.Price(&simhw.RTX2080Ti, k.TrafficOf(args, params)); cost < 0 {
+		t.Fatalf("%s: negative price %v", name, cost)
 	}
 }
 

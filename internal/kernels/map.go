@@ -3,18 +3,8 @@ package kernels
 import (
 	"fmt"
 
-	"github.com/adamant-db/adamant/internal/vclock"
 	"github.com/adamant-db/adamant/internal/vec"
 )
-
-// streamCost prices a sequential kernel by the bytes it touches.
-func streamCost(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
-	var bytes int64
-	for _, a := range args {
-		bytes += a.Bytes()
-	}
-	return m.SDK.Stream(m.Spec, bytes)
-}
 
 func argLen(args []vec.Vector) int {
 	if len(args) == 0 {
@@ -41,7 +31,6 @@ var MapMulI32I64 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })
 
 // MapMulComplementI32I64 computes out[i] = a[i] * (K - b[i]) as an int64,
@@ -65,7 +54,6 @@ var MapMulComplementI32I64 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })
 
 // MapAddI64 adds two int64 columns. Args: a(I64), b(I64), out(I64).
@@ -85,7 +73,6 @@ var MapAddI64 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })
 
 // MapMulI64 multiplies two int64 columns. Args: a(I64), b(I64), out(I64).
@@ -105,7 +92,6 @@ var MapMulI64 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })
 
 // MapScaleI64 multiplies an int64 column by a scalar. Args: a(I64),
@@ -128,7 +114,6 @@ var MapScaleI64 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })
 
 // MapCastI32I64 widens an int32 column to int64. Args: a(I32), out(I64).
@@ -148,7 +133,6 @@ var MapCastI32I64 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })
 
 func sameLen(lens ...int) error {

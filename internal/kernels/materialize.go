@@ -4,23 +4,17 @@ import (
 	"fmt"
 	"math/bits"
 
-	"github.com/adamant-db/adamant/internal/vclock"
+	"github.com/adamant-db/adamant/internal/simhw"
 	"github.com/adamant-db/adamant/internal/vec"
 )
 
-// materializeCost prices late materialization as a scan of the values and
-// bitmap scaled by the SDK's extraction penalty: GPUs pay for cooperative
-// bit extraction across threads (Figure 9(b) shows them dropping to ~30%
-// of bitmap-only throughput); CPUs, which schedule 32-value runs per
-// thread, extract almost for free.
-func materializeCost(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
-	in := args[0].Bytes() + args[1].Bytes()
-	base := m.SDK.Stream(m.Spec, in)
-	pen := m.SDK.MaterializePenalty
-	if pen <= 0 {
-		pen = 1
-	}
-	return vclock.Duration(float64(base) * pen)
+// materializeTraffic is late materialization: a scan of the values and
+// the bitmap through bit extraction, which the SDK prices with its
+// extraction penalty (GPUs pay for cooperative bit extraction across
+// threads, Figure 9(b); CPUs, which schedule 32-value runs per thread,
+// extract almost for free).
+func materializeTraffic(args []vec.Vector, _ []int64) simhw.Traffic {
+	return simhw.Traffic{Extract: args[0].Bytes() + args[1].Bytes()}
 }
 
 // MaterializeBitmapI32 compacts the rows selected by a bitmap into a dense
@@ -37,7 +31,7 @@ var MaterializeBitmapI32 = register(&Kernel{
 			args[2].I32()[dst] = values[src]
 		})
 	},
-	Cost: materializeCost,
+	Traffic: materializeTraffic,
 })
 
 // MaterializeBitmapI64 is MaterializeBitmapI32 for int64 value columns.
@@ -52,7 +46,7 @@ var MaterializeBitmapI64 = register(&Kernel{
 			args[2].I64()[dst] = values[src]
 		})
 	},
-	Cost: materializeCost,
+	Traffic: materializeTraffic,
 })
 
 // materializeBitmap runs the shared compaction logic: a word-popcount prefix
@@ -119,7 +113,7 @@ var MaterializePosI32 = register(&Kernel{
 			args[2].I32()[dst] = values[src]
 		})
 	},
-	Cost: gatherCost,
+	Traffic: gatherTraffic,
 })
 
 // MaterializePosI64 is MaterializePosI32 for int64 value columns. Args:
@@ -134,7 +128,7 @@ var MaterializePosI64 = register(&Kernel{
 			args[2].I64()[dst] = values[src]
 		})
 	},
-	Cost: gatherCost,
+	Traffic: gatherTraffic,
 })
 
 func materializePos(ctx *Ctx, args []vec.Vector, nValues int, assign func(dst, src int)) error {
@@ -156,7 +150,8 @@ func materializePos(ctx *Ctx, args []vec.Vector, nValues int, assign func(dst, s
 	return bad
 }
 
-func gatherCost(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
-	// Sequential read of the position list, random gather of the values.
-	return m.SDK.Stream(m.Spec, args[1].Bytes()) + m.SDK.Random(m.Spec, args[2].Bytes())
+// gatherTraffic is a sequential read of the position list and a random
+// gather of the values.
+func gatherTraffic(args []vec.Vector, _ []int64) simhw.Traffic {
+	return simhw.Traffic{Seq: args[1].Bytes(), Random: args[2].Bytes()}
 }

@@ -5,7 +5,7 @@ import (
 	"math/bits"
 	"sync"
 
-	"github.com/adamant-db/adamant/internal/vclock"
+	"github.com/adamant-db/adamant/internal/simhw"
 	"github.com/adamant-db/adamant/internal/vec"
 )
 
@@ -24,7 +24,7 @@ var PrefixSumI32 = register(&Kernel{
 		scanExclusiveI32(ctx, in, out)
 		return nil
 	},
-	Cost: prefixCost,
+	Traffic: prefixTraffic,
 })
 
 // PrefixSumBits computes, for every input row, the number of set bits
@@ -64,16 +64,13 @@ var PrefixSumBits = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: prefixCost,
+	Traffic: prefixTraffic,
 })
 
-func prefixCost(m CostModel, args []vec.Vector, _ []int64) vclock.Duration {
-	// Scans read the input twice (block scan + fixup) and write once.
-	var bytes int64
-	for _, a := range args {
-		bytes += a.Bytes()
-	}
-	return m.SDK.Stream(m.Spec, 2*bytes)
+// prefixTraffic streams every argument twice: scans read the input in a
+// block scan and a fixup pass.
+func prefixTraffic(args []vec.Vector, _ []int64) simhw.Traffic {
+	return simhw.Traffic{Seq: 2 * argBytes(args)}
 }
 
 // scanExclusiveI32 computes an exclusive prefix sum with a blockwise

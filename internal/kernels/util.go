@@ -23,5 +23,4 @@ var FillI64 = register(&Kernel{
 		})
 		return nil
 	},
-	Cost: streamCost,
 })

@@ -1,6 +1,10 @@
 package simhw
 
-import "github.com/adamant-db/adamant/internal/vclock"
+import (
+	"math"
+
+	"github.com/adamant-db/adamant/internal/vclock"
+)
 
 // SDKProfile captures how a programming SDK behaves on top of a raw device.
 // The paper shows that the SDK choice alone changes transfer bandwidth
@@ -37,17 +41,19 @@ type SDKProfile struct {
 	// per doubling of the group count (static thread scheduling makes
 	// OpenCL degrade sharply; CUDA stays nearly flat).
 	GroupScalePenalty float64
-	// BuildScalePenalty is the fractional slowdown of hash build/probe
-	// per doubling of the input size beyond 2^20 elements (repeated
-	// contended insertions into one global table).
+	// BuildScalePenalty is the fractional slowdown of hash-table inserts
+	// per doubling of the table's slot count beyond 2^12 slots (larger
+	// shared tables thrash more cache lines under contended insertion).
+	// Probes pay 0.8x of it, without the atomic path.
 	BuildScalePenalty float64
 	// MaterializePenalty multiplies the cost of extracting values through
 	// a bitmap. GPUs pay for cooperative bit extraction across threads;
-	// CPUs process 32-value runs per thread and barely notice.
+	// CPUs process 32-value runs per thread and barely notice. Zero
+	// means 1.
 	MaterializePenalty float64
 	// ProbePenalty multiplies hash-probe cost. The paper observes CUDA's
 	// probe underperforming OpenCL's (thread ordering on global memory
-	// accesses, Figure 9(e)).
+	// accesses, Figure 9(e)). Zero means 1.
 	ProbePenalty float64
 
 	// PinnedEfficiency scales bandwidth on the pinned links only. OpenCL
@@ -103,28 +109,65 @@ func (p *SDKProfile) Launch(spec *Spec, args int) vclock.Duration {
 	return spec.KernelLaunch + p.LaunchOverhead + vclock.Duration(int64(p.ArgMapCost)*int64(args))
 }
 
-// Stream returns the cost of a sequential-access kernel body touching the
-// given number of bytes.
-func (p *SDKProfile) Stream(spec *Spec, bytes int64) vclock.Duration {
-	return scale(spec.StreamCost(bytes), p.ComputeEfficiency)
+// Traffic is the memory work one kernel launch generates, declared by the
+// kernel from its argument shapes and scalar parameters (never from the
+// values in its buffers). Price turns it into virtual time.
+type Traffic struct {
+	// Seq is the bytes read or written in sequential, coalesced order.
+	Seq int64
+	// Extract is the bytes streamed while extracting values through a
+	// bitmap; they pay MaterializePenalty on top of streaming.
+	Extract int64
+	// Random is the bytes gathered or scattered at data-dependent
+	// addresses.
+	Random int64
+	// Probe is the bytes of hash-table lookups: random access that slows
+	// with the table's Slots and pays ProbePenalty.
+	Probe int64
+	// Atomics is the number of contended atomic updates into one shared
+	// table; they slow with the table's Slots and with Groups.
+	Atomics int64
+	// Slots is the slot count of the hash table Atomics and Probe hit.
+	Slots int64
+	// Groups is the number of groups Atomics spread over; 0 when unknown.
+	Groups int64
 }
 
-// Random returns the cost of a gather/scatter kernel body touching the given
-// number of bytes.
-func (p *SDKProfile) Random(spec *Spec, bytes int64) vclock.Duration {
-	return scale(spec.RandomCost(bytes), p.ComputeEfficiency)
-}
+// tableKnee is the slot count past which a shared hash table thrashes
+// caches and BuildScalePenalty starts to apply.
+const tableKnee = 1 << 12
 
-// Atomic returns the cost of n contended atomic operations.
-func (p *SDKProfile) Atomic(spec *Spec, n int64, contention float64) vclock.Duration {
-	return scale(spec.AtomicCost(n, contention), p.AtomicEfficiency)
+// Price returns the virtual time of one kernel body that generates t on
+// spec under this SDK, excluding the fixed dispatch cost (Launch). It is
+// the one place the SDK's contention and extraction penalties apply.
+func (p *SDKProfile) Price(spec *Spec, t Traffic) vclock.Duration {
+	compute := p.ComputeEfficiency
+	d := scale(spec.StreamCost(t.Seq), compute) + scale(spec.RandomCost(t.Random), compute)
+	d += vclock.Duration(float64(scale(spec.StreamCost(t.Extract), compute)) * orOne(p.MaterializePenalty))
+
+	probe, atomic := 1.0, 1.0
+	if t.Slots > tableKnee {
+		doublings := math.Log2(float64(t.Slots) / tableKnee)
+		probe += p.BuildScalePenalty * 0.8 * doublings
+		atomic += p.BuildScalePenalty * doublings
+	}
+	if t.Groups > 1 {
+		atomic += p.GroupScalePenalty * math.Log2(float64(t.Groups))
+	}
+	d += vclock.Duration(float64(scale(spec.RandomCost(t.Probe), compute)) * probe * orOne(p.ProbePenalty))
+	return d + scale(spec.AtomicCost(t.Atomics, atomic), p.AtomicEfficiency)
 }
 
 func scale(d vclock.Duration, eff float64) vclock.Duration {
-	if eff <= 0 {
-		eff = 1
+	return vclock.Duration(float64(d) / orOne(eff))
+}
+
+// orOne defaults an unset (non-positive) factor to 1.
+func orOne(x float64) float64 {
+	if x <= 0 {
+		return 1
 	}
-	return vclock.Duration(float64(d) / eff)
+	return x
 }
 
 // Predefined SDK profiles, calibrated against the relative behaviours the

@@ -8,9 +8,10 @@
 // (memory capacity, interconnect bandwidth curves, compute throughput), and
 // an SDKProfile describes the software stack's efficiency on top of it
 // (OpenCL's translation overheads, OpenMP's explicit thread scheduling, CUDA
-// kernel launch latency). The primitive kernels combine both into virtual
-// execution times, which is what lets the experiments reproduce the paper's
-// relative results (Figures 3, 5, 9, 10, 11) deterministically on any host.
+// kernel launch latency). Kernels declare the Traffic a launch generates and
+// SDKProfile.Price combines it with both into virtual execution time, which
+// is what lets the experiments reproduce the paper's relative results
+// (Figures 3, 5, 9, 10, 11) deterministically on any host.
 package simhw
 
 import (

@@ -94,7 +94,7 @@ func TestPaperRelations(t *testing.T) {
 
 	// Figure 9(a): OpenCL beats OpenMP on CPUs for streaming kernels.
 	for _, cpu := range []*Spec{&CoreI78700, &XeonGold5220R} {
-		if OpenCLCPUProfile.Stream(cpu, gb) >= OpenMPProfile.Stream(cpu, gb) {
+		if OpenCLCPUProfile.Price(cpu, Traffic{Seq: gb}) >= OpenMPProfile.Price(cpu, Traffic{Seq: gb}) {
 			t.Errorf("%s: OpenCL streaming should beat OpenMP", cpu.Name)
 		}
 	}
@@ -115,7 +115,7 @@ func TestPaperRelations(t *testing.T) {
 	}
 
 	// GPUs out-stream CPUs.
-	if CUDAProfile.Stream(&RTX2080Ti, gb) >= OpenMPProfile.Stream(&CoreI78700, gb) {
+	if CUDAProfile.Price(&RTX2080Ti, Traffic{Seq: gb}) >= OpenMPProfile.Price(&CoreI78700, Traffic{Seq: gb}) {
 		t.Error("GPU streaming should beat CPU")
 	}
 }
@@ -129,7 +129,7 @@ func TestSDKScaleClamps(t *testing.T) {
 	if p.TransferPinned(link, 1<<20) != link.Cost(1<<20) {
 		t.Error("out-of-range pinned efficiency should clamp to 1")
 	}
-	if p.Stream(&RTX2080Ti, 1<<20) != RTX2080Ti.StreamCost(1<<20) {
+	if p.Price(&RTX2080Ti, Traffic{Seq: 1 << 20}) != RTX2080Ti.StreamCost(1<<20) {
 		t.Error("negative compute efficiency should clamp to 1")
 	}
 }

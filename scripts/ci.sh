@@ -4,6 +4,13 @@ set -e
 cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
+# Pricing lives in internal/simhw: kernels declare their memory traffic and
+# never read an SDK penalty or carry a cost function of their own.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+	'ScalePenalty|MaterializePenalty|ProbePenalty|CostModel|CostFunc' internal/kernels; then
+	echo "ci: internal/kernels prices launches itself; declare simhw.Traffic and let SDKProfile.Price apply the SDK" >&2
+	exit 1
+fi
 go test -race ./...
 # The concurrency/resilience chaos soak must always run race-enabled, even
 # if the line above is ever narrowed or switched to -short.
