@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"github.com/adamant-db/adamant/internal/bufpool"
-	"github.com/adamant-db/adamant/internal/core"
 	"github.com/adamant-db/adamant/internal/cost"
 	"github.com/adamant-db/adamant/internal/device"
 	"github.com/adamant-db/adamant/internal/driver/simcuda"
@@ -131,24 +130,24 @@ func (s SDK) String() string {
 }
 
 // Model selects an execution model (§IV of the paper).
-type Model = core.Model
+type Model = exec.Model
 
 // Execution models.
 const (
 	// OperatorAtATime keeps whole columns and intermediates resident;
 	// fastest when data fits device memory, fails with OOM otherwise.
-	OperatorAtATime = core.OperatorAtATime
+	OperatorAtATime = exec.OperatorAtATime
 	// Chunked is the naive chunked model (Algorithm 1): scales to
 	// larger-than-memory data with strictly serial transfers.
-	Chunked = core.Chunked
+	Chunked = exec.Chunked
 	// Pipelined overlaps transfers with execution (Algorithm 2).
-	Pipelined = core.Pipelined
+	Pipelined = exec.Pipelined
 	// FourPhaseChunked stages pinned double buffers and reuses them
 	// across chunks (Algorithm 3 without overlap).
-	FourPhaseChunked = core.FourPhaseChunked
+	FourPhaseChunked = exec.FourPhaseChunked
 	// FourPhasePipelined is the full 4-phase model: pinned double
 	// buffers, memory reuse, and copy/compute overlap.
-	FourPhasePipelined = core.FourPhasePipelined
+	FourPhasePipelined = exec.FourPhasePipelined
 )
 
 // DeviceID identifies a plugged device within an Engine.

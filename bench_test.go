@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	adamant "github.com/adamant-db/adamant"
-	"github.com/adamant-db/adamant/internal/core"
 	"github.com/adamant-db/adamant/internal/device"
 	"github.com/adamant-db/adamant/internal/devmem"
 	"github.com/adamant-db/adamant/internal/driver/simcuda"
@@ -176,7 +175,7 @@ func BenchmarkFig7Footprint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.Run(rt, g, core.Options{Model: core.OperatorAtATime, Trace: true})
+		res, err := exec.Run(rt, g, exec.Options{Model: exec.OperatorAtATime, Trace: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +250,7 @@ func BenchmarkFig9Primitives(b *testing.B) {
 }
 
 // runQuery executes one TPC-H query on a fresh rig and returns its stats.
-func runQuery(b *testing.B, ds *tpch.Dataset, q string, useOpenCL bool, model core.Model) core.Result {
+func runQuery(b *testing.B, ds *tpch.Dataset, q string, useOpenCL bool, model exec.Model) exec.Result {
 	b.Helper()
 	rt := hub.NewRuntime()
 	var d device.Device
@@ -268,7 +267,7 @@ func runQuery(b *testing.B, ds *tpch.Dataset, q string, useOpenCL bool, model co
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Run(rt, g, core.Options{Model: model, ChunkElems: benchChunk()})
+	res, err := exec.Run(rt, g, exec.Options{Model: model, ChunkElems: benchChunk()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -285,7 +284,7 @@ func BenchmarkFig10Overhead(b *testing.B) {
 				var virtual, overhead vclock.Duration
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := runQuery(b, ds, q, drv == "opencl", core.Chunked)
+					res := runQuery(b, ds, q, drv == "opencl", exec.Chunked)
 					virtual += res.Stats.Elapsed
 					overhead += res.Stats.Elapsed - res.Stats.KernelTime - res.Stats.TransferTime
 				}
@@ -301,10 +300,10 @@ func BenchmarkFig10Overhead(b *testing.B) {
 // under the three execution models, per GPU driver.
 func BenchmarkFig11Models(b *testing.B) {
 	ds := dataset(b, 100)
-	models := map[string]core.Model{
-		"chunked":      core.Chunked,
-		"4p-chunked":   core.FourPhaseChunked,
-		"4p-pipelined": core.FourPhasePipelined,
+	models := map[string]exec.Model{
+		"chunked":      exec.Chunked,
+		"4p-chunked":   exec.FourPhaseChunked,
+		"4p-pipelined": exec.FourPhasePipelined,
 	}
 	for _, q := range []string{"Q3", "Q4", "Q6"} {
 		for _, drv := range []string{"opencl", "cuda"} {
@@ -346,7 +345,7 @@ func BenchmarkFig11HeavyDB(b *testing.B) {
 		var virtual vclock.Duration
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res := runQuery(b, ds, "Q6", false, core.FourPhasePipelined)
+			res := runQuery(b, ds, "Q6", false, exec.FourPhasePipelined)
 			virtual += res.Stats.Elapsed
 		}
 		b.StopTimer()
@@ -376,7 +375,7 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := core.Run(rt, g, core.Options{Model: core.FourPhasePipelined, ChunkElems: chunk})
+				res, err := exec.Run(rt, g, exec.Options{Model: exec.FourPhasePipelined, ChunkElems: chunk})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -392,9 +391,9 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 // (Pipelined) vs pinned overlapped (FourPhasePipelined).
 func BenchmarkAblationPinned(b *testing.B) {
 	ds := dataset(b, 100)
-	for name, model := range map[string]core.Model{
-		"pageable": core.Pipelined,
-		"pinned":   core.FourPhasePipelined,
+	for name, model := range map[string]exec.Model{
+		"pageable": exec.Pipelined,
+		"pinned":   exec.FourPhasePipelined,
 	} {
 		b.Run(name, func(b *testing.B) {
 			var virtual vclock.Duration
@@ -413,9 +412,9 @@ func BenchmarkAblationPinned(b *testing.B) {
 // without (FourPhaseChunked) vs with (FourPhasePipelined) double buffering.
 func BenchmarkAblationDoubleBuffer(b *testing.B) {
 	ds := dataset(b, 100)
-	for name, model := range map[string]core.Model{
-		"serial":  core.FourPhaseChunked,
-		"overlap": core.FourPhasePipelined,
+	for name, model := range map[string]exec.Model{
+		"serial":  exec.FourPhaseChunked,
+		"overlap": exec.FourPhasePipelined,
 	} {
 		b.Run(name, func(b *testing.B) {
 			var virtual vclock.Duration
@@ -636,8 +635,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			if traced {
 				rec = trace.NewRecorder()
 			}
-			res, err := core.Run(rt, g, core.Options{
-				Model: core.Chunked, ChunkElems: benchChunk(), Recorder: rec,
+			res, err := exec.Run(rt, g, exec.Options{
+				Model: exec.Chunked, ChunkElems: benchChunk(), Recorder: rec,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -673,8 +672,8 @@ func BenchmarkAblationPrefetchDepth(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := core.Run(rt, g, core.Options{
-					Model: core.FourPhasePipelined, ChunkElems: benchChunk(), StagingBuffers: depth,
+				res, err := exec.Run(rt, g, exec.Options{
+					Model: exec.FourPhasePipelined, ChunkElems: benchChunk(), StagingBuffers: depth,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -1,14 +1,15 @@
 // Command adamant-bench regenerates the paper's evaluation tables and
-// figures (§V) from the simulated ADAMANT stack.
+// figures (§V) from the simulated ADAMANT stack as aligned text tables.
 //
 // Usage:
 //
-//	adamant-bench [-exp name] [-quick] [-ratio f] [-seed n] [-json out.json]
+//	adamant-bench [-exp name] [-quick] [-ratio f] [-seed n]
 //
-// With no -exp it runs every experiment. Experiment names: table2, fig3,
-// fig5, fig7, fig9, fig10, fig11, heavydb. With -json, every numeric table
-// cell is also written to the given file as machine-readable records
-// ({experiment, metric, value, unit, seed, ratio}) for trend tracking.
+// With no -exp it runs every experiment, in name order. Experiment names:
+// table2, fig3, fig5, fig6, fig7, fig9, fig10, fig11, heavydb,
+// chunksweep, cache, fuse, auto, shard. Every -quick table is virtual
+// time over seeded data, so `adamant-bench -quick -seed 7` prints exactly
+// the concatenation of internal/experiments/testdata/quick/*.txt.
 package main
 
 import (
@@ -28,7 +29,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink workloads for a fast run")
 	ratio := flag.Float64("ratio", 0, "TPC-H down-scale ratio (0 = profile default)")
 	seed := flag.Uint64("seed", 42, "data generator seed")
-	jsonOut := flag.String("json", "", "also write machine-readable results to this file")
 	flag.Parse()
 
 	// Ctrl-C cancels the in-flight query at its next chunk boundary; the
@@ -37,9 +37,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	cfg := experiments.Config{Quick: *quick, Ratio: *ratio, Seed: *seed, Ctx: ctx}
-	if *jsonOut != "" {
-		cfg.Results = experiments.NewCollector()
-	}
 
 	var err error
 	if *exp == "" {
@@ -51,13 +48,6 @@ func main() {
 			err = gen(cfg, os.Stdout)
 		}
 	}
-	if *jsonOut != "" && err == nil {
-		if werr := writeResults(*jsonOut, cfg.Results); werr != nil {
-			err = werr
-		} else {
-			fmt.Fprintf(os.Stderr, "adamant-bench: wrote %d records to %s\n", len(cfg.Results.Records()), *jsonOut)
-		}
-	}
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "adamant-bench: interrupted — partial results above")
 		os.Exit(130)
@@ -66,17 +56,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "adamant-bench: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// writeResults dumps the collected records to path as indented JSON.
-func writeResults(path string, c *experiments.Collector) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

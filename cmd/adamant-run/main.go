@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"github.com/adamant-db/adamant/internal/bufpool"
-	"github.com/adamant-db/adamant/internal/core"
 	"github.com/adamant-db/adamant/internal/cost"
 	"github.com/adamant-db/adamant/internal/device"
 	"github.com/adamant-db/adamant/internal/driver/simcuda"
@@ -274,11 +273,11 @@ func run(ctx context.Context) error {
 		})
 		fmt.Printf("cache: %d MiB buffer pool, %s eviction\n", *cacheMiB, *cachePolicy)
 	}
-	opts := core.Options{
+	opts := exec.Options{
 		Model:            model,
 		ChunkElems:       chunkElems,
 		Recorder:         rec,
-		Retry:            core.RetryPolicy{MaxRetries: *retries},
+		Retry:            exec.RetryPolicy{MaxRetries: *retries},
 		FallbackDevice:   fallbackID,
 		AdaptiveChunking: *adapt,
 		Deadline:         vclock.DurationOf(*deadline),
@@ -304,7 +303,7 @@ func run(ctx context.Context) error {
 		*repeat = 1
 	}
 	shape := graph.Fingerprint(g)
-	var res *core.Result
+	var res *exec.Result
 	var profVT vclock.Time
 	for i := 0; i < *repeat; i++ {
 		mark := rec.Len()
@@ -314,10 +313,10 @@ func run(ctx context.Context) error {
 			if err == nil && !scattered {
 				fmt.Println("scatter planner declined the plan; running unsharded")
 				coord = nil
-				res, err = core.RunContext(ctx, rt, g, opts)
+				res, err = exec.RunContext(ctx, rt, g, opts)
 			}
 		} else {
-			res, err = core.RunContext(ctx, rt, g, opts)
+			res, err = exec.RunContext(ctx, rt, g, opts)
 		}
 		if prof != nil {
 			qrec := profile.QueryRecord{
@@ -610,18 +609,18 @@ func parseSLO(spec string) (time.Duration, float64, error) {
 	return target, objective, nil
 }
 
-func parseModel(name string) (core.Model, error) {
+func parseModel(name string) (exec.Model, error) {
 	switch name {
 	case "oaat":
-		return core.OperatorAtATime, nil
+		return exec.OperatorAtATime, nil
 	case "chunked":
-		return core.Chunked, nil
+		return exec.Chunked, nil
 	case "pipelined":
-		return core.Pipelined, nil
+		return exec.Pipelined, nil
 	case "4p-chunked":
-		return core.FourPhaseChunked, nil
+		return exec.FourPhaseChunked, nil
 	case "4p-pipelined":
-		return core.FourPhasePipelined, nil
+		return exec.FourPhasePipelined, nil
 	default:
 		return 0, fmt.Errorf("unknown model %q", name)
 	}

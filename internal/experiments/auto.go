@@ -81,7 +81,7 @@ func AutoPlan(cfg Config, w io.Writer) error {
 			manual.Add("Q6", sf, drv.Label, m.label, seconds(res.Stats.Elapsed))
 		}
 	}
-	if err := cfg.reportPhase(w, "auto", "manual", manual); err != nil {
+	if err := report(w, manual); err != nil {
 		return err
 	}
 
@@ -96,7 +96,7 @@ func AutoPlan(cfg Config, w io.Writer) error {
 	if err := runAutoCell(cfg, r, ds, coldCat, best, cold); err != nil {
 		return err
 	}
-	if err := cfg.reportPhase(w, "auto", "cold", cold); err != nil {
+	if err := report(w, cold); err != nil {
 		return err
 	}
 
@@ -107,7 +107,7 @@ func AutoPlan(cfg Config, w io.Writer) error {
 	if err := runAutoCell(cfg, r, ds, warmCat, best, warm); err != nil {
 		return err
 	}
-	return cfg.reportPhase(w, "auto", "warm", warm)
+	return report(w, warm)
 }
 
 // runAutoCell plans Q6 from the catalog, executes the decision, and adds

@@ -74,10 +74,7 @@ func CacheWarm(cfg Config, w io.Writer) error {
 			ratioStr(elapsed[0], elapsed[2]), fmt.Sprintf("%.0f%%", 100*st.HitRatio()))
 	}
 
-	if err := cfg.reportPhase(w, "cache", "cold", cold); err != nil {
-		return err
-	}
-	return cfg.reportPhase(w, "cache", "warm", warm)
+	return report(w, cold, warm)
 }
 
 // mib renders a byte count in MiB for a table cell.

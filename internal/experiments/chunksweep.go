@@ -50,5 +50,5 @@ func ChunkSweep(cfg Config, w io.Writer) error {
 		t.Add(chunk, mult.label, seconds(res.Stats.Elapsed), res.Stats.Chunks,
 			fmt.Sprintf("%.1f", float64(res.Stats.PeakDeviceBytes)/(1<<20)))
 	}
-	return cfg.report(w, "chunksweep", t)
+	return report(w, t)
 }

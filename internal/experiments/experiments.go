@@ -33,35 +33,22 @@ type Config struct {
 	// the paper's sizes (scaled by Ratio where physical data is needed).
 	Quick bool
 	// Ratio down-scales generated TPC-H data from the nominal scale
-	// factors. Zero selects 1/512 (full) or 1/4096 (quick).
+	// factors. Zero selects 1/64 (full) or 1/1024 (quick).
 	Ratio float64
 	// Seed feeds the data generators.
 	Seed uint64
 	// Ctx, when set, cancels in-flight query executions at chunk
 	// boundaries (the CLI wires SIGINT here). Nil means background.
 	Ctx context.Context
-	// Results, when set, collects machine-readable records alongside the
-	// text tables (the CLI's -json flag wires a collector here).
-	Results *Collector
 }
 
-// report writes the table as text and, when a collector is configured,
-// extracts its numeric cells into records under the experiment name.
-func (c Config) report(w io.Writer, experiment string, t *Table) error {
-	if _, err := t.WriteTo(w); err != nil {
-		return err
+// report writes the tables as aligned text, in order.
+func report(w io.Writer, tables ...*Table) error {
+	for _, t := range tables {
+		if _, err := t.WriteTo(w); err != nil {
+			return err
+		}
 	}
-	c.Results.AddTable(experiment, t, c.Seed, c.ratio())
-	return nil
-}
-
-// reportPhase is report with a phase label ("cold", "warm") stamped on the
-// extracted records.
-func (c Config) reportPhase(w io.Writer, experiment, phase string, t *Table) error {
-	if _, err := t.WriteTo(w); err != nil {
-		return err
-	}
-	c.Results.AddTablePhase(experiment, phase, t, c.Seed, c.ratio())
 	return nil
 }
 

@@ -53,5 +53,5 @@ func Fig10Overhead(cfg Config, w io.Writer) error {
 			t.Add(q, drv.Label, millis(total), millis(prims), millis(transfer), millis(over), fmt.Sprintf("%.1f", pct))
 		}
 	}
-	return cfg.report(w, "fig10", t)
+	return report(w, t)
 }

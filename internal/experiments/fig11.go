@@ -80,7 +80,7 @@ func Fig11Models(cfg Config, w io.Writer) error {
 			}
 		}
 	}
-	return cfg.report(w, "fig11", t)
+	return report(w, t)
 }
 
 // Fig11HeavyDB reproduces Figure 11 (right): the HeavyDB baseline with and
@@ -136,5 +136,5 @@ func Fig11HeavyDB(cfg Config, w io.Writer) error {
 			t.Add(q, fmt.Sprintf("SF%g", sf), cold, hot, ours[0], ours[1])
 		}
 	}
-	return cfg.report(w, "heavydb", t)
+	return report(w, t)
 }

@@ -54,7 +54,7 @@ func Fig3Bandwidth(cfg Config, w io.Writer) error {
 			}
 		}
 	}
-	return cfg.report(w, "fig3", t)
+	return report(w, t)
 }
 
 func sizeHeaders(sizesMiB []int) []string {

@@ -65,5 +65,5 @@ func Fig5MapReduce(cfg Config, w io.Writer) error {
 			p.free(bufA, bufB, out, scalar)
 		}
 	}
-	return cfg.report(w, "fig5", t)
+	return report(w, t)
 }

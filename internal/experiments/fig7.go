@@ -47,7 +47,7 @@ func Fig7Capacity(cfg Config, w io.Writer) error {
 	for _, gpu := range simhw.AllGPUs() {
 		t.Add(fmt.Sprintf("capacity: %s", gpu.Name), gib(gpu.MemoryBytes), "", "", "", "", "")
 	}
-	if err := cfg.report(w, "fig7-capacity", t); err != nil {
+	if err := report(w, t); err != nil {
 		return err
 	}
 
@@ -75,5 +75,5 @@ func Fig7Capacity(cfg Config, w io.Writer) error {
 	for i, s := range res.Stats.Footprint {
 		t2.Add(i+1, s.Label, fmt.Sprintf("%.2f", float64(s.Bytes)/(1<<20)))
 	}
-	return cfg.report(w, "fig7-footprint", t2)
+	return report(w, t2)
 }

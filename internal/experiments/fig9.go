@@ -104,7 +104,7 @@ func fig9Filters(cfg Config, w io.Writer, setup simhw.Setup, n int) error {
 		t.Add(matRow...)
 		p.free(bufIn, bm, matOut, count)
 	}
-	return cfg.report(w, "fig9-filter/"+setup.Name, t)
+	return report(w, t)
 }
 
 func fig9HashAgg(cfg Config, w io.Writer, setup simhw.Setup, n int) error {
@@ -156,7 +156,7 @@ func fig9HashAgg(cfg Config, w io.Writer, setup simhw.Setup, n int) error {
 		}
 		t.Add(row...)
 	}
-	return cfg.report(w, "fig9-hashagg/"+setup.Name, t)
+	return report(w, t)
 }
 
 func fig9BuildProbe(cfg Config, w io.Writer, setup simhw.Setup, maxN int) error {
@@ -220,7 +220,7 @@ func fig9BuildProbe(cfg Config, w io.Writer, setup simhw.Setup, maxN int) error 
 		t.Add(buildRow...)
 		t.Add(probeRow...)
 	}
-	return cfg.report(w, "fig9-buildprobe/"+setup.Name, t)
+	return report(w, t)
 }
 
 func onesInt64(n int) vec.Vector {

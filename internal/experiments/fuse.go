@@ -72,8 +72,5 @@ func FuseSpeedup(cfg Config, w io.Writer) error {
 			ratioStr(elapsed[0], elapsed[1]))
 	}
 
-	if err := cfg.reportPhase(w, "fuse", "unfused", unfused); err != nil {
-		return err
-	}
-	return cfg.reportPhase(w, "fuse", "fused", fused)
+	return report(w, unfused, fused)
 }

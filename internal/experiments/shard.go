@@ -95,10 +95,7 @@ func ShardScale(cfg Config, w io.Writer) error {
 		cold.Add("Q6", sf, n, seconds(elapsed[0]), ratioStr(coldBase, elapsed[0]), mops(rows, elapsed[0]))
 		warm.Add("Q6", sf, n, seconds(elapsed[2]), ratioStr(warmBase, elapsed[2]), mops(rows, elapsed[2]))
 	}
-	if err := cfg.reportPhase(w, "shard", "cold", cold); err != nil {
-		return err
-	}
-	if err := cfg.reportPhase(w, "shard", "warm", warm); err != nil {
+	if err := report(w, cold, warm); err != nil {
 		return err
 	}
 
@@ -151,5 +148,5 @@ func ShardScale(cfg Config, w io.Writer) error {
 		}
 		strag.Add("Q6", mode.label, millis(res.Stats.Elapsed), wins)
 	}
-	return cfg.reportPhase(w, "shard", "straggler", strag)
+	return report(w, strag)
 }

@@ -26,7 +26,7 @@ func Table2(cfg Config, w io.Writer) error {
 	t.Add("SDKs", "OpenCL, OpenMP, CUDA", "OpenCL, OpenMP, CUDA")
 	t.Add("OpenCL kernel compile (startup)",
 		startupCompile(&simhw.OpenCLGPUProfile), startupCompile(&simhw.OpenCLCPUProfile))
-	return cfg.report(w, "table2", t)
+	return report(w, t)
 }
 
 // startupCompile reports the one-time runtime-compilation cost of the
