@@ -171,7 +171,7 @@ func BenchmarkFig7Footprint(b *testing.B) {
 	var virtual vclock.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := tpch.BuildQ6(ds, dev)
+		g, err := tpch.BuildQuery("Q6", ds, dev)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 			var virtual vclock.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g, err := tpch.BuildQ6(ds, dev)
+				g, err := tpch.BuildQuery("Q6", ds, dev)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -627,7 +627,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			g, err := tpch.BuildQ6(ds, dev)
+			g, err := tpch.BuildQuery("Q6", ds, dev)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -668,7 +668,7 @@ func BenchmarkAblationPrefetchDepth(b *testing.B) {
 			var virtual vclock.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g, err := tpch.BuildQ6(ds, dev)
+				g, err := tpch.BuildQuery("Q6", ds, dev)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -66,7 +66,6 @@ func main() {
 	for _, q := range queries {
 		res, err := eng.Query(cat, gpu, q, adamant.QueryOptions{
 			ExecOptions: adamant.ExecOptions{Model: adamant.FourPhasePipelined, ChunkElems: 1 << 17},
-			GroupsHint:  400,
 		})
 		if err != nil {
 			log.Fatal(err)

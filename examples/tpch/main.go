@@ -1,6 +1,7 @@
 // TPC-H on ADAMANT: generate benchmark data, run Q6 (heavy aggregation)
-// and Q3 (multiple joins) on CPU and GPU drivers under several execution
-// models, and verify the results against host-side reference answers.
+// and Q3 (multiple joins) through the SQL front end on CPU and GPU drivers
+// under several execution models, and verify the results against
+// host-side reference answers.
 package main
 
 import (
@@ -8,6 +9,7 @@ import (
 	"log"
 
 	adamant "github.com/adamant-db/adamant"
+	"github.com/adamant-db/adamant/internal/storage"
 	"github.com/adamant-db/adamant/internal/tpch"
 )
 
@@ -29,35 +31,32 @@ func main() {
 		log.Fatal(err)
 	}
 
-	runQ6(eng, ds, "GPU/CUDA", gpu)
-	runQ6(eng, ds, "CPU/OpenMP", cpu)
-	runQ3(eng, ds, gpu)
+	cat := catalog(ds)
+	runQ6(eng, cat, ds, "GPU/CUDA", gpu)
+	runQ6(eng, cat, ds, "CPU/OpenMP", cpu)
+	runQ3(eng, cat, ds, gpu)
 }
 
-// buildQ6 assembles Q6 through the public plan API.
-func buildQ6(eng *adamant.Engine, ds *tpch.Dataset, dev adamant.DeviceID) *adamant.Plan {
-	li := ds.Lineitem
-	plan := eng.NewPlan().On(dev)
-	ship := plan.ScanInt32("l_shipdate", li.MustColumn("l_shipdate").I32())
-	disc := plan.ScanInt32("l_discount", li.MustColumn("l_discount").I32())
-	qty := plan.ScanInt32("l_quantity", li.MustColumn("l_quantity").I32())
-	price := plan.ScanInt32("l_extendedprice", li.MustColumn("l_extendedprice").I32())
-
-	keep := plan.And(
-		plan.And(
-			plan.FilterBetween(ship, int64(tpch.DateQ6Lo), int64(tpch.DateQ6Hi-1)),
-			plan.FilterBetween(disc, 5, 7)),
-		plan.Filter(qty, adamant.Lt, 24))
-	rev := plan.Mul(plan.Materialize(price, keep), plan.Materialize(disc, keep))
-	plan.Return("revenue", plan.SumInt64(rev))
-	return plan
+// catalog hands the generated tables to the engine's SQL front end.
+func catalog(ds *tpch.Dataset) *adamant.Catalog {
+	var tables []*adamant.Table
+	for _, st := range []*storage.Table{ds.Lineitem, ds.Orders, ds.Customer} {
+		t := adamant.NewTable(st.Name, st.Rows())
+		for _, col := range st.Columns() {
+			if err := t.AddInt32(col.Name, col.Data.I32()); err != nil {
+				log.Fatal(err)
+			}
+		}
+		tables = append(tables, t)
+	}
+	return adamant.NewCatalog(tables...)
 }
 
-func runQ6(eng *adamant.Engine, ds *tpch.Dataset, label string, dev adamant.DeviceID) {
+func runQ6(eng *adamant.Engine, cat *adamant.Catalog, ds *tpch.Dataset, label string, dev adamant.DeviceID) {
 	want := tpch.RefQ6(ds)
 	fmt.Printf("\nQ6 on %s (reference revenue %d):\n", label, want)
 	for _, model := range []adamant.Model{adamant.Chunked, adamant.FourPhaseChunked, adamant.FourPhasePipelined} {
-		res, err := eng.Execute(buildQ6(eng, ds, dev), adamant.ExecOptions{Model: model, ChunkElems: 1 << 16})
+		res, err := eng.Query(cat, dev, tpch.SQLQ6, adamant.QueryOptions{ExecOptions: adamant.ExecOptions{Model: model, ChunkElems: 1 << 16}})
 		if err != nil {
 			log.Fatalf("Q6 %v: %v", model, err)
 		}
@@ -70,43 +69,8 @@ func runQ6(eng *adamant.Engine, ds *tpch.Dataset, label string, dev adamant.Devi
 	}
 }
 
-func runQ3(eng *adamant.Engine, ds *tpch.Dataset, dev adamant.DeviceID) {
-	cu, or, li := ds.Customer, ds.Orders, ds.Lineitem
-
-	plan := eng.NewPlan().On(dev)
-
-	// Pipeline 1: BUILDING customers into a key set.
-	seg := plan.ScanInt32("c_mktsegment", cu.MustColumn("c_mktsegment").I32())
-	ckey := plan.ScanInt32("c_custkey", cu.MustColumn("c_custkey").I32())
-	fSeg := plan.Filter(seg, adamant.Eq, int64(tpch.SegBuilding))
-	custSet := plan.BuildKeySet(plan.Materialize(ckey, fSeg), cu.Rows())
-
-	// Pipeline 2: qualifying orders into a key set.
-	odate := plan.ScanInt32("o_orderdate", or.MustColumn("o_orderdate").I32())
-	ocust := plan.ScanInt32("o_custkey", or.MustColumn("o_custkey").I32())
-	okey := plan.ScanInt32("o_orderkey", or.MustColumn("o_orderkey").I32())
-	keepO := plan.And(
-		plan.Filter(odate, adamant.Lt, int64(tpch.DateQ3)),
-		plan.ExistsIn(ocust, custSet))
-	orderSet := plan.BuildKeySet(plan.Materialize(okey, keepO), or.Rows())
-
-	// Pipeline 3: lineitem revenue grouped by orderkey.
-	lkey := plan.ScanInt32("l_orderkey", li.MustColumn("l_orderkey").I32())
-	lship := plan.ScanInt32("l_shipdate", li.MustColumn("l_shipdate").I32())
-	lprice := plan.ScanInt32("l_extendedprice", li.MustColumn("l_extendedprice").I32())
-	ldisc := plan.ScanInt32("l_discount", li.MustColumn("l_discount").I32())
-	keepL := plan.And(
-		plan.Filter(lship, adamant.Gt, int64(tpch.DateQ3)),
-		plan.ExistsIn(lkey, orderSet))
-	rev := plan.MulComplement(plan.Materialize(lprice, keepL), plan.Materialize(ldisc, keepL), 100)
-	groups := plan.GroupSum(plan.Materialize(lkey, keepL), rev, or.Rows()/2+1)
-
-	// Pipeline 4: extract the group table.
-	gk, ga := plan.GroupResults(groups, or.Rows()/2+1)
-	plan.Return("l_orderkey", gk)
-	plan.Return("revenue", ga)
-
-	res, err := eng.Execute(plan, adamant.ExecOptions{Model: adamant.FourPhasePipelined, ChunkElems: 1 << 16})
+func runQ3(eng *adamant.Engine, cat *adamant.Catalog, ds *tpch.Dataset, dev adamant.DeviceID) {
+	res, err := eng.Query(cat, dev, tpch.SQLQ3, adamant.QueryOptions{ExecOptions: adamant.ExecOptions{Model: adamant.FourPhasePipelined, ChunkElems: 1 << 16}})
 	if err != nil {
 		log.Fatalf("Q3: %v", err)
 	}

@@ -69,7 +69,7 @@ func TestQ6AllDriversAllModels(t *testing.T) {
 	for name, dev := range rig.devices {
 		for _, model := range allModels {
 			t.Run(fmt.Sprintf("%s/%s", name, model), func(t *testing.T) {
-				g, err := tpch.BuildQ6(ds, dev)
+				g, err := tpch.BuildQuery("Q6", ds, dev)
 				if err != nil {
 					t.Fatalf("plan: %v", err)
 				}
@@ -101,7 +101,7 @@ func TestQ3AllModels(t *testing.T) {
 
 	for _, model := range allModels {
 		t.Run(model.String(), func(t *testing.T) {
-			g, err := tpch.BuildQ3(ds, rig.devices["cuda"])
+			g, err := tpch.BuildQuery("Q3", ds, rig.devices["cuda"])
 			if err != nil {
 				t.Fatalf("plan: %v", err)
 			}
@@ -140,7 +140,7 @@ func TestQ4AllModels(t *testing.T) {
 
 	for _, model := range allModels {
 		t.Run(model.String(), func(t *testing.T) {
-			g, err := tpch.BuildQ4(ds, rig.devices["opencl-gpu"])
+			g, err := tpch.BuildQuery("Q4", ds, rig.devices["opencl-gpu"])
 			if err != nil {
 				t.Fatalf("plan: %v", err)
 			}
@@ -174,7 +174,7 @@ func TestQ1AllModels(t *testing.T) {
 
 	for _, model := range allModels {
 		t.Run(model.String(), func(t *testing.T) {
-			g, err := tpch.BuildQ1(ds, rig.devices["openmp"])
+			g, err := tpch.BuildQuery("Q1", ds, rig.devices["openmp"])
 			if err != nil {
 				t.Fatalf("plan: %v", err)
 			}
@@ -182,16 +182,16 @@ func TestQ1AllModels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			gk, _ := res.Column("rfls_qty")
-			gq, _ := res.Column("sum_qty")
-			rk, _ := res.Column("rfls_rev")
-			rv, _ := res.Column("sum_rev")
-			ck, _ := res.Column("rfls_cnt")
-			cv, _ := res.Column("count")
+			// The extracts are key-sorted, so the three aggregates align
+			// with the one key column.
+			keys, _ := res.Column("l_rfls")
+			qty, _ := res.Column("sum_qty")
+			rev, _ := res.Column("sum_rev")
+			cnt, _ := res.Column("cnt")
 
-			gotQty := toMap(gk.I64(), gq.I64())
-			gotRev := toMap(rk.I64(), rv.I64())
-			gotCnt := toMap(ck.I64(), cv.I64())
+			gotQty := toMap(keys.I64(), qty.I64())
+			gotRev := toMap(keys.I64(), rev.I64())
+			gotCnt := toMap(keys.I64(), cnt.I64())
 			if len(gotQty) != len(want) {
 				t.Fatalf("got %d groups, want %d", len(gotQty), len(want))
 			}
@@ -227,7 +227,7 @@ func TestModelTimingOrder(t *testing.T) {
 
 	elapsed := make(map[exec.Model]float64)
 	for _, model := range allModels {
-		g, err := tpch.BuildQ6(ds, rig.devices["cuda"])
+		g, err := tpch.BuildQuery("Q6", ds, rig.devices["cuda"])
 		if err != nil {
 			t.Fatalf("plan: %v", err)
 		}
@@ -269,7 +269,7 @@ func TestCrossDevicePipelineOverlap(t *testing.T) {
 	rig := newRig(t)
 
 	build := func(devA, devB device.ID) (*exec.Result, error) {
-		g, err := tpch.BuildQ6(ds, devA)
+		g, err := tpch.BuildQuery("Q6", ds, devA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestMixedDeviceQ3(t *testing.T) {
 	want := tpch.RefQ3(ds)
 	rig := newRig(t)
 
-	g, err := tpch.BuildQ3(ds, rig.devices["openmp"])
+	g, err := tpch.BuildQuery("Q3", ds, rig.devices["openmp"])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestReplanRestart(t *testing.T) {
 	ds := testDataset(t)
 	rt, dev := gpuRuntime(t)
 
-	baseG, err := tpch.BuildQ3(ds, dev)
+	baseG, err := tpch.BuildQuery("Q3", ds, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestReplanRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, err := tpch.BuildQ3(ds, dev)
+	g, err := tpch.BuildQuery("Q3", ds, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestReplanDeclined(t *testing.T) {
 		"declines": func(o exec.ReplanObservation) (int, bool) { return 0, false },
 		"same":     func(o exec.ReplanObservation) (int, bool) { return o.ChunkElems, true },
 	} {
-		g, err := tpch.BuildQ3(ds, dev)
+		g, err := tpch.BuildQuery("Q3", ds, dev)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1133,15 +1133,17 @@ func (x *executor) execNode(n *graph.Node, chunkN int, chunkBase int64, singlePa
 		}
 	}
 
+	// The node's own sample precedes the frees its launch made possible,
+	// so each row shows the footprint the launch itself held.
+	if x.opts.Trace {
+		x.trace = append(x.trace, FootprintSample{Label: n.String(), Bytes: x.deviceBytes()})
+	}
+
 	// Whole-input mode frees intermediates after their last consumer.
 	if x.flags.wholeInput {
 		if err := x.releaseDeadInputs(n); err != nil {
 			return 0, err
 		}
-	}
-
-	if x.opts.Trace {
-		x.trace = append(x.trace, FootprintSample{Label: n.String(), Bytes: x.deviceBytes()})
 	}
 	return end, nil
 }

@@ -39,7 +39,7 @@ func ChunkSweep(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		g, err := tpch.BuildQ6(ds, r.cuda)
+		g, err := tpch.BuildQuery("Q6", ds, r.cuda)
 		if err != nil {
 			return err
 		}

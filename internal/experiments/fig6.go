@@ -36,7 +36,7 @@ func Fig6Timelines(cfg Config, w io.Writer) error {
 		log := &device.EventLog{}
 		d.SetEventLog(log)
 
-		g, err := tpch.BuildQ6(ds, id)
+		g, err := tpch.BuildQuery("Q6", ds, id)
 		if err != nil {
 			return err
 		}

@@ -73,33 +73,38 @@ type fusedPred struct {
 // newFusedPred normalizes a (op, lo, hi) predicate to range form. Unknown
 // operators yield an empty range, matching CmpOp.Matches returning false.
 func newFusedPred(col fusedCol, op CmpOp, lo, hi int64) fusedPred {
+	if op == CmpNe {
+		return fusedPred{col: col, lo: lo, hi: lo, ne: true}
+	}
+	rlo, rhi, ok := InclusiveRange(op, lo, hi)
+	if !ok {
+		return fusedPred{col: col, lo: 1, hi: 0} // e.g. v < MinInt64: never
+	}
+	return fusedPred{col: col, lo: rlo, hi: rhi}
+}
+
+// InclusiveRange normalizes a comparison to the inclusive range [rlo, rhi]
+// of values it accepts. ok is false for CmpNe, for unknown operators and
+// for a strict bound at the int64 extremes, where the ±1 step would
+// overflow (such a comparison accepts no value).
+func InclusiveRange(op CmpOp, lo, hi int64) (rlo, rhi int64, ok bool) {
 	const minI, maxI = math.MinInt64, math.MaxInt64
-	p := fusedPred{col: col}
 	switch op {
 	case CmpLt:
-		if lo == minI {
-			return fusedPred{col: col, lo: 1, hi: 0} // v < MinInt64: never
-		}
-		p.lo, p.hi = minI, lo-1
+		return minI, lo - 1, lo != minI
 	case CmpLe:
-		p.lo, p.hi = minI, lo
+		return minI, lo, true
 	case CmpGt:
-		if lo == maxI {
-			return fusedPred{col: col, lo: 1, hi: 0}
-		}
-		p.lo, p.hi = lo+1, maxI
+		return lo + 1, maxI, lo != maxI
 	case CmpGe:
-		p.lo, p.hi = lo, maxI
+		return lo, maxI, true
 	case CmpEq:
-		p.lo, p.hi = lo, lo
-	case CmpNe:
-		p.lo, p.hi, p.ne = lo, lo, true
+		return lo, lo, true
 	case CmpBetween:
-		p.lo, p.hi = lo, hi
+		return lo, hi, true
 	default:
-		p.lo, p.hi = 1, 0
+		return 0, 0, false
 	}
-	return p
 }
 
 // filterDense scans rows [base, base+n) and writes surviving offsets

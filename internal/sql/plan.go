@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/adamant-db/adamant/internal/device"
 	"github.com/adamant-db/adamant/internal/graph"
@@ -18,16 +19,15 @@ type PlanConfig struct {
 	// Device annotates every node (single-device plans; multi-device
 	// placement goes through the plan-builder API instead).
 	Device device.ID
-	// GroupsHint estimates the distinct group count for GROUP BY sizing.
-	// Zero means a quarter of the table's rows.
-	GroupsHint int
 }
 
 // Plan lowers a parsed query onto ADAMANT's primitives: conjunctive
-// filters become FILTER_BITMAP chains, IN subqueries become
+// filters become FILTER_BITMAP chains (a lower and an upper bound on one
+// column merge into one range filter), IN subqueries become
 // HASH_BUILD(set) + semi-join filters, SELECT expressions become
 // MATERIALIZE + MAP chains, and aggregates become AGG_BLOCK or
-// HASH_AGG/HASH_EXTRACT pipelines.
+// HASH_AGG/HASH_EXTRACT pipelines. Every hash table is sized by its key
+// column's storage.Table.MaxDistinct.
 func Plan(q *Query, cfg PlanConfig) (*graph.Graph, error) {
 	if cfg.Catalog == nil {
 		return nil, fmt.Errorf("sql: PlanConfig.Catalog is required")
@@ -93,12 +93,13 @@ func (l *lowerer) lowerBlock(q *Query) (*block, error) {
 		return nil, err
 	}
 	b := &block{table: table, scans: make(map[string]graph.PortRef)}
+	where := mergeRanges(q.Where)
 
 	// Lower IN subqueries first: their build pipelines must precede the
 	// pipelines that consume the key sets, and pipeline execution order
 	// follows node creation order.
 	sets := make(map[int]graph.PortRef)
-	for i, cond := range q.Where {
+	for i, cond := range where {
 		if cond.Kind != CondIn {
 			continue
 		}
@@ -109,7 +110,7 @@ func (l *lowerer) lowerBlock(q *Query) (*block, error) {
 		sets[i] = set
 	}
 
-	for i, cond := range q.Where {
+	for i, cond := range where {
 		bm, err := l.lowerCond(b, cond, sets[i])
 		if err != nil {
 			return nil, err
@@ -125,24 +126,60 @@ func (l *lowerer) lowerBlock(q *Query) (*block, error) {
 	return b, nil
 }
 
+// mergeRanges folds a lower bound (>, >=) and an upper bound (<, <=) on
+// one column of a conjunctive block into one inclusive BETWEEN, in the
+// first one's place. A strict bound at the int64 extremes stays unmerged.
+// When nothing merges, where is returned as it is.
+func mergeRanges(where []Cond) []Cond {
+	out, copied := where, false
+	for i := 0; i < len(out); i++ {
+		for j := i + 1; j < len(out); j++ {
+			lo, hi, ok := rangePair(out[i], out[j])
+			if !ok {
+				continue
+			}
+			if !copied {
+				out, copied = slices.Clone(where), true
+			}
+			out[i] = Cond{Kind: CondBetween, Col: out[i].Col, Lo: lo, Hi: hi}
+			out = slices.Delete(out, j, j+1)
+			break
+		}
+	}
+	return out
+}
+
+// rangePair reports the inclusive range of a lower and an upper bound on
+// one column, given in either order.
+func rangePair(a, b Cond) (lo, hi int64, ok bool) {
+	if a.Kind != CondCmp || b.Kind != CondCmp || a.Col != b.Col {
+		return 0, 0, false
+	}
+	if a.Op == OpLt || a.Op == OpLe {
+		a, b = b, a
+	}
+	if (a.Op != OpGt && a.Op != OpGe) || (b.Op != OpLt && b.Op != OpLe) {
+		return 0, 0, false
+	}
+	lo, _, okLo := kernels.InclusiveRange(cmpKernel(a.Op), a.Value, 0)
+	_, hi, okHi := kernels.InclusiveRange(cmpKernel(b.Op), b.Value, 0)
+	return lo, hi, okLo && okHi
+}
+
 // lowerCond lowers one condition to a bitmap port. For CondIn, set is the
 // pre-lowered key-set port.
 func (l *lowerer) lowerCond(b *block, cond Cond, set graph.PortRef) (graph.PortRef, error) {
 	switch cond.Kind {
-	case CondCmp:
+	case CondCmp, CondBetween:
 		col, err := l.scan(b, cond.Col)
 		if err != nil {
 			return graph.PortRef{}, err
 		}
-		n := l.g.AddTask(task.NewFilterBitmap(cmpKernel(cond.Op), cond.Value, cond.Value, cond.String()), l.cfg.Device, col)
-		return l.g.Out(n, 0), nil
-
-	case CondBetween:
-		col, err := l.scan(b, cond.Col)
-		if err != nil {
-			return graph.PortRef{}, err
+		op, lo, hi := cmpKernel(cond.Op), cond.Value, cond.Value
+		if cond.Kind == CondBetween {
+			op, lo, hi = kernels.CmpBetween, cond.Lo, cond.Hi
 		}
-		n := l.g.AddTask(task.NewFilterBitmap(kernels.CmpBetween, cond.Lo, cond.Hi, cond.String()), l.cfg.Device, col)
+		n := l.g.AddTask(task.NewFilterBitmap(op, lo, hi, cond.String()), l.cfg.Device, col)
 		return l.g.Out(n, 0), nil
 
 	case CondColCmp:
@@ -214,7 +251,11 @@ func (l *lowerer) lowerKeySet(sub *Query) (graph.PortRef, error) {
 		n := l.g.AddTask(m, l.cfg.Device, keys, b.bitmap)
 		keys = l.g.Out(n, 0)
 	}
-	build := l.g.AddTask(task.NewHashBuildSet(b.table.Rows(), "build("+keyCol+" set)"), l.cfg.Device, keys)
+	distinct, err := b.table.MaxDistinct(keyCol)
+	if err != nil {
+		return graph.PortRef{}, fmt.Errorf("sql: %w", err)
+	}
+	build := l.g.AddTask(task.NewHashBuildSet(distinct, "build("+keyCol+" set)"), l.cfg.Device, keys)
 	return l.g.Out(build, 0), nil
 }
 
@@ -245,7 +286,7 @@ func (l *lowerer) exprInt64(b *block, e *Expr) (graph.PortRef, error) {
 		}
 		n := l.g.AddTask(task.NewMapCast(e.Col), l.cfg.Device, v)
 		return l.g.Out(n, 0), nil
-	case ExprMul:
+	case ExprMul, ExprMulComplement:
 		a, err := l.value(b, e.A)
 		if err != nil {
 			return graph.PortRef{}, err
@@ -254,18 +295,11 @@ func (l *lowerer) exprInt64(b *block, e *Expr) (graph.PortRef, error) {
 		if err != nil {
 			return graph.PortRef{}, err
 		}
-		n := l.g.AddTask(task.NewMapMul(e.String()), l.cfg.Device, a, c)
-		return l.g.Out(n, 0), nil
-	case ExprMulComplement:
-		a, err := l.value(b, e.A)
-		if err != nil {
-			return graph.PortRef{}, err
+		t := task.NewMapMul(e.String())
+		if e.Kind == ExprMulComplement {
+			t = task.NewMapMulComplement(e.K, e.String())
 		}
-		c, err := l.value(b, e.B)
-		if err != nil {
-			return graph.PortRef{}, err
-		}
-		n := l.g.AddTask(task.NewMapMulComplement(e.K, e.String()), l.cfg.Device, a, c)
+		n := l.g.AddTask(t, l.cfg.Device, a, c)
 		return l.g.Out(n, 0), nil
 	default:
 		return graph.PortRef{}, fmt.Errorf("sql: unsupported expression %s", e)
@@ -389,13 +423,13 @@ func (l *lowerer) lowerCountStar(q *Query, b *block, alias string) error {
 // group-key column feeding one hash table per aggregate, each extracted to
 // dense columns.
 func (l *lowerer) lowerGrouped(q *Query, b *block) error {
-	groupsHint := l.cfg.GroupsHint
-	if groupsHint <= 0 {
-		groupsHint = b.table.Rows()/4 + 1
-	}
 	keys, err := l.value(b, q.GroupBy)
 	if err != nil {
 		return err
+	}
+	groupsHint, err := b.table.MaxDistinct(q.GroupBy)
+	if err != nil {
+		return fmt.Errorf("sql: %w", err)
 	}
 
 	var keyResult string

@@ -1,13 +1,18 @@
-package sql
+package sql_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/adamant-db/adamant/internal/driver/simcuda"
 	"github.com/adamant-db/adamant/internal/exec"
+	"github.com/adamant-db/adamant/internal/graph"
 	"github.com/adamant-db/adamant/internal/hub"
+	"github.com/adamant-db/adamant/internal/kernels"
+	"github.com/adamant-db/adamant/internal/primitive"
 	"github.com/adamant-db/adamant/internal/simhw"
+	"github.com/adamant-db/adamant/internal/sql"
 	"github.com/adamant-db/adamant/internal/storage"
 	"github.com/adamant-db/adamant/internal/tpch"
 	"github.com/adamant-db/adamant/internal/vec"
@@ -15,35 +20,56 @@ import (
 
 type rig struct {
 	rt  *hub.Runtime
-	cfg PlanConfig
+	cfg sql.PlanConfig
 	ds  *tpch.Dataset
 }
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	ds, err := tpch.Generate(tpch.Config{SF: 0.01, Seed: 11})
+	return newRigOn(t, tpch.Config{SF: 0.01, Seed: 11})
+}
+
+// newRigOn generates a dataset and plans against its catalog on a
+// simulated GPU.
+func newRigOn(t *testing.T, cfg tpch.Config) *rig {
+	t.Helper()
+	ds, err := tpch.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := newCatalogRig(t, ds.Catalog())
+	r.ds = ds
+	return r
+}
+
+// newCatalogRig plans against any catalog on a simulated GPU.
+func newCatalogRig(t *testing.T, cat *storage.Catalog) *rig {
+	t.Helper()
 	rt := hub.NewRuntime()
 	dev, err := rt.Register(simcuda.New(&simhw.RTX2080Ti, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{rt: rt, cfg: PlanConfig{Catalog: ds.Catalog(), Device: dev}, ds: ds}
+	return &rig{rt: rt, cfg: sql.PlanConfig{Catalog: cat, Device: dev}}
+}
+
+func parse(t *testing.T, q string) *sql.Query {
+	t.Helper()
+	ast, err := sql.Parse(q)
+	if err != nil {
+		t.Fatalf("parse %q: %v", q, err)
+	}
+	return ast
 }
 
 // runSQL parses, plans and executes a query under two execution models,
 // checking they agree, and returns the chunked run's result.
 func (r *rig) runSQL(t *testing.T, query string) *exec.Result {
 	t.Helper()
-	ast, err := Parse(query)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
+	ast := parse(t, query)
 	var results []*exec.Result
 	for _, model := range []exec.Model{exec.Chunked, exec.FourPhasePipelined} {
-		g, err := Plan(ast, r.cfg)
+		g, err := sql.Plan(ast, r.cfg)
 		if err != nil {
 			t.Fatalf("plan: %v", err)
 		}
@@ -64,12 +90,7 @@ func (r *rig) runSQL(t *testing.T, query string) *exec.Result {
 
 func TestSQLQ6(t *testing.T) {
 	r := newRig(t)
-	res := r.runSQL(t, `
-		SELECT SUM(l_extendedprice * l_discount) AS revenue
-		FROM lineitem
-		WHERE l_shipdate BETWEEN DATE '1994-01-01' AND DATE '1994-12-31'
-		  AND l_discount BETWEEN 5 AND 7
-		  AND l_quantity < 24`)
+	res := r.runSQL(t, tpch.SQLQ6)
 	col, _ := res.Column("revenue")
 	if got, want := col.I64()[0], tpch.RefQ6(r.ds); got != want {
 		t.Errorf("revenue = %d, want %d", got, want)
@@ -78,12 +99,7 @@ func TestSQLQ6(t *testing.T) {
 
 func TestSQLQ4(t *testing.T) {
 	r := newRig(t)
-	res := r.runSQL(t, `
-		SELECT o_orderpriority, COUNT(*) AS order_count
-		FROM orders
-		WHERE o_orderdate >= DATE '1993-07-01' AND o_orderdate < DATE '1993-10-01'
-		  AND o_orderkey IN (SELECT l_orderkey FROM lineitem WHERE l_commitdate < l_receiptdate)
-		GROUP BY o_orderpriority`)
+	res := r.runSQL(t, tpch.SQLQ4)
 	want := tpch.RefQ4(r.ds)
 	prio, _ := res.Column("o_orderpriority")
 	cnt, _ := res.Column("order_count")
@@ -99,15 +115,7 @@ func TestSQLQ4(t *testing.T) {
 
 func TestSQLQ3NestedIn(t *testing.T) {
 	r := newRig(t)
-	res := r.runSQL(t, `
-		SELECT l_orderkey, SUM(l_extendedprice * (100 - l_discount)) AS revenue
-		FROM lineitem
-		WHERE l_shipdate > DATE '1995-03-15'
-		  AND l_orderkey IN (
-			SELECT o_orderkey FROM orders
-			WHERE o_orderdate < DATE '1995-03-15'
-			  AND o_custkey IN (SELECT c_custkey FROM customer WHERE c_mktsegment = 1))
-		GROUP BY l_orderkey`)
+	res := r.runSQL(t, tpch.SQLQ3)
 	want := tpch.RefQ3(r.ds)
 	keys, _ := res.Column("l_orderkey")
 	revs, _ := res.Column("revenue")
@@ -129,13 +137,7 @@ func TestSQLQ3NestedIn(t *testing.T) {
 
 func TestSQLMultipleAggregatesAligned(t *testing.T) {
 	r := newRig(t)
-	res := r.runSQL(t, `
-		SELECT l_rfls, SUM(l_quantity) AS sum_qty,
-		       SUM(l_extendedprice * (100 - l_discount)) AS sum_rev,
-		       COUNT(*) AS cnt
-		FROM lineitem
-		WHERE l_shipdate <= 2436
-		GROUP BY l_rfls`)
+	res := r.runSQL(t, tpch.SQLQ1)
 	want := tpch.RefQ1(r.ds)
 	keys, _ := res.Column("l_rfls")
 	qty, _ := res.Column("sum_qty")
@@ -213,17 +215,17 @@ func TestSQLPlanErrors(t *testing.T) {
 		"unknown subquery table": `SELECT l_quantity FROM lineitem WHERE l_orderkey IN (SELECT x FROM nope)`,
 	}
 	for name, q := range bad {
-		ast, err := Parse(q)
+		ast, err := sql.Parse(q)
 		if err != nil {
 			continue // some are parse-time errors; fine either way
 		}
-		if _, err := Plan(ast, r.cfg); err == nil {
+		if _, err := sql.Plan(ast, r.cfg); err == nil {
 			t.Errorf("%s: accepted %q", name, q)
 		} else if !strings.Contains(err.Error(), "sql:") {
 			t.Errorf("%s: error %q lacks prefix", name, err)
 		}
 	}
-	if _, err := Plan(&Query{}, PlanConfig{}); err == nil {
+	if _, err := sql.Plan(&sql.Query{}, sql.PlanConfig{}); err == nil {
 		t.Error("nil catalog accepted")
 	}
 }
@@ -233,8 +235,8 @@ func TestSQLInt64ColumnRejected(t *testing.T) {
 	table.MustAddColumn("a", vec.FromInt64([]int64{1, 2}))
 	cat := storage.NewCatalog()
 	cat.Add(table)
-	ast := mustParse(t, `SELECT a FROM t WHERE a < 5`)
-	if _, err := Plan(ast, PlanConfig{Catalog: cat}); err == nil {
+	ast := parse(t, `SELECT a FROM t WHERE a < 5`)
+	if _, err := sql.Plan(ast, sql.PlanConfig{Catalog: cat}); err == nil {
 		t.Error("int64 column accepted by int32 dialect")
 	}
 }
@@ -301,11 +303,11 @@ func TestSQLNewSyntaxErrors(t *testing.T) {
 	}
 	r := newRig(t)
 	for _, q := range bad {
-		ast, err := Parse(q)
+		ast, err := sql.Parse(q)
 		if err != nil {
 			continue
 		}
-		if _, err := Plan(ast, r.cfg); err == nil {
+		if _, err := sql.Plan(ast, r.cfg); err == nil {
 			t.Errorf("accepted %q", q)
 		}
 	}
@@ -314,14 +316,14 @@ func TestSQLNewSyntaxErrors(t *testing.T) {
 // TestSQLOrderByLimit covers host-side ordering and truncation.
 func TestSQLOrderByLimit(t *testing.T) {
 	r := newRig(t)
-	ast := mustParse(t, `
+	ast := parse(t, `
 		SELECT l_orderkey, SUM(l_extendedprice * (100 - l_discount)) AS revenue
 		FROM lineitem
 		WHERE l_shipdate > DATE '1995-03-15'
 		GROUP BY l_orderkey
 		ORDER BY revenue DESC
 		LIMIT 10`)
-	g, err := Plan(ast, r.cfg)
+	g, err := sql.Plan(ast, r.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +331,7 @@ func TestSQLOrderByLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PostProcess(res, ast); err != nil {
+	if err := sql.PostProcess(res, ast); err != nil {
 		t.Fatal(err)
 	}
 	keys, _ := res.Column("l_orderkey")
@@ -371,8 +373,8 @@ func TestSQLOrderByLimit(t *testing.T) {
 // TestPostProcessErrors covers the ordering error paths.
 func TestPostProcessErrors(t *testing.T) {
 	r := newRig(t)
-	ast := mustParse(t, `SELECT COUNT(*) AS n FROM lineitem ORDER BY missing`)
-	g, err := Plan(ast, r.cfg)
+	ast := parse(t, `SELECT COUNT(*) AS n FROM lineitem ORDER BY missing`)
+	g, err := sql.Plan(ast, r.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,17 +382,17 @@ func TestPostProcessErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PostProcess(res, ast); err == nil {
+	if err := sql.PostProcess(res, ast); err == nil {
 		t.Error("ordering by a missing column accepted")
 	}
 	// ORDER BY ASC (explicit) and plain LIMIT paths.
-	ast2 := mustParse(t, `SELECT COUNT(*) AS n FROM lineitem ORDER BY n ASC LIMIT 5`)
-	g2, _ := Plan(ast2, r.cfg)
+	ast2 := parse(t, `SELECT COUNT(*) AS n FROM lineitem ORDER BY n ASC LIMIT 5`)
+	g2, _ := sql.Plan(ast2, r.cfg)
 	res2, err := exec.Run(r.rt, g2, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PostProcess(res2, ast2); err != nil {
+	if err := sql.PostProcess(res2, ast2); err != nil {
 		t.Errorf("asc+limit: %v", err)
 	}
 }
@@ -398,8 +400,8 @@ func TestPostProcessErrors(t *testing.T) {
 // TestSQLOrderProjectionInt32 orders a projection by its own int32 column.
 func TestSQLOrderProjectionInt32(t *testing.T) {
 	r := newRig(t)
-	ast := mustParse(t, `SELECT l_quantity FROM lineitem WHERE l_quantity >= 48 ORDER BY l_quantity LIMIT 7`)
-	g, err := Plan(ast, r.cfg)
+	ast := parse(t, `SELECT l_quantity FROM lineitem WHERE l_quantity >= 48 ORDER BY l_quantity LIMIT 7`)
+	g, err := sql.Plan(ast, r.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +409,7 @@ func TestSQLOrderProjectionInt32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PostProcess(res, ast); err != nil {
+	if err := sql.PostProcess(res, ast); err != nil {
 		t.Fatal(err)
 	}
 	col, _ := res.Column("l_quantity")
@@ -417,6 +419,136 @@ func TestSQLOrderProjectionInt32(t *testing.T) {
 	for i := 0; i < col.Len(); i++ {
 		if col.I32()[i] != 48 {
 			t.Errorf("row %d = %d, want 48 (the minimum qualifying value)", i, col.I32()[i])
+		}
+	}
+}
+
+// TestSQLGroupByHighCardinality groups by a key with one group per row.
+// Hash tables are sized by the key column's value range, so a table whose
+// every row is its own group still fits.
+func TestSQLGroupByHighCardinality(t *testing.T) {
+	r := newRigOn(t, tpch.Config{SF: 1, Ratio: 1.0 / 64, Seed: 42})
+	cust := r.ds.Customer.MustColumn("c_custkey").I32()
+	res := r.runSQL(t, `SELECT c_custkey, COUNT(*) AS n FROM customer GROUP BY c_custkey`)
+	keys, _ := res.Column("c_custkey")
+	n, _ := res.Column("n")
+	if keys.Len() != len(cust) {
+		t.Fatalf("customer groups = %d, want %d", keys.Len(), len(cust))
+	}
+	for i, c := range n.I64() {
+		if c != 1 {
+			t.Fatalf("customer %d counted %d times", keys.I64()[i], c)
+		}
+	}
+
+	okey := r.ds.Orders.MustColumn("o_orderkey").I32()
+	ocust := r.ds.Orders.MustColumn("o_custkey").I32()
+	want := make(map[int64]int64, len(okey))
+	for i, k := range okey {
+		want[int64(k)] += int64(ocust[i])
+	}
+	res = r.runSQL(t, `SELECT o_orderkey, SUM(o_custkey) AS s FROM orders GROUP BY o_orderkey`)
+	keys, _ = res.Column("o_orderkey")
+	sums, _ := res.Column("s")
+	if keys.Len() != len(want) {
+		t.Fatalf("order groups = %d, want %d", keys.Len(), len(want))
+	}
+	for i, k := range keys.I64() {
+		if sums.I64()[i] != want[k] {
+			t.Fatalf("order %d sum = %d, want %d", k, sums.I64()[i], want[k])
+		}
+	}
+}
+
+// filterNodes counts a graph's FILTER_BITMAP nodes and, among them, the
+// inclusive range filters.
+func filterNodes(g *graph.Graph) (filters, ranges int) {
+	for _, n := range g.Nodes() {
+		if n.Task == nil || n.Task.Kind != primitive.FilterBitmap {
+			continue
+		}
+		filters++
+		if strings.HasPrefix(n.Task.Kernel, "filter_bitmap_") && n.Task.Params[0] == int64(kernels.CmpBetween) {
+			ranges++
+		}
+	}
+	return filters, ranges
+}
+
+// TestSQLRangeMerge checks that a lower and an upper bound on one column
+// merge into one inclusive range filter, and that everything else is
+// left alone, each against a host-side count.
+func TestSQLRangeMerge(t *testing.T) {
+	const rows = 1000
+	a, b := make([]int32, rows), make([]int32, rows)
+	for i := range a {
+		a[i] = int32(i%50 - 25)
+		b[i] = int32(i % 37)
+	}
+	tbl := storage.NewTable("t", rows)
+	tbl.MustAddColumn("a", vec.FromInt32(a))
+	tbl.MustAddColumn("b", vec.FromInt32(b))
+	cat := storage.NewCatalog()
+	cat.Add(tbl)
+	r := newCatalogRig(t, cat)
+
+	const minI, maxI = math.MinInt64, math.MaxInt64
+	cases := []struct {
+		name, where     string
+		filters, ranges int
+		keep            func(a, b int64) bool
+	}{
+		{"gt-le", "a > 3 AND a <= 20", 1, 1, func(a, _ int64) bool { return a > 3 && a <= 20 }},
+		{"ge-lt", "a >= -7 AND a < 12", 1, 1, func(a, _ int64) bool { return a >= -7 && a < 12 }},
+		{"upper first", "a < 12 AND b > 4 AND a >= -7", 3, 1, func(a, b int64) bool { return a < 12 && b > 4 && a >= -7 }},
+		{"empty", "a >= 10 AND a < 10", 1, 1, func(a, _ int64) bool { return false }},
+		{"gt max", "a > 9223372036854775807 AND a < 5", 3, 0, func(a, _ int64) bool { return false }},
+		{"lt min", "a >= -3 AND a < -9223372036854775808", 3, 0, func(a, _ int64) bool { return false }},
+		{"inclusive extremes", "a >= -9223372036854775808 AND a <= 9223372036854775807", 1, 1, func(a, _ int64) bool { return a >= minI && a <= maxI }},
+		{"two columns", "a >= 3 AND b < 20", 3, 0, func(a, b int64) bool { return a >= 3 && b < 20 }},
+		{"inside or", "(a > 5 OR a < 2) AND b < 30", 5, 0, func(a, b int64) bool { return (a > 5 || a < 2) && b < 30 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			query := "SELECT COUNT(*) AS n FROM t WHERE " + c.where
+			g, err := sql.Plan(parse(t, query), r.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if filters, ranges := filterNodes(g); filters != c.filters || ranges != c.ranges {
+				t.Errorf("%d filters (%d ranges), want %d (%d)", filters, ranges, c.filters, c.ranges)
+			}
+			var want int64
+			for i := range a {
+				if c.keep(int64(a[i]), int64(b[i])) {
+					want++
+				}
+			}
+			n, _ := r.runSQL(t, query).Column("n")
+			if got := n.I64()[0]; got != want {
+				t.Errorf("count = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestSQLQ4Shape pins what range merging and data-sized hashes make of
+// Q4: the o_orderdate pair is one range filter (4 FILTER_BITMAP nodes, not
+// 6) and the priority table is sized for its 5 values.
+func TestSQLQ4Shape(t *testing.T) {
+	r := newRig(t)
+	g, err := sql.Plan(parse(t, tpch.SQLQ4), r.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filters, ranges := filterNodes(g); filters != 4 || ranges != 1 {
+		t.Errorf("%d FILTER_BITMAP nodes (%d ranges), want 4 (1)", filters, ranges)
+	}
+	for _, n := range g.Nodes() {
+		if n.Task != nil && n.Task.Kind == primitive.HashAgg {
+			if hint := n.Task.Params[len(n.Task.Params)-1]; hint != tpch.NumPriorities {
+				t.Errorf("HASH_AGG hint = %d, want %d", hint, tpch.NumPriorities)
+			}
 		}
 	}
 }

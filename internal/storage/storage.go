@@ -23,6 +23,8 @@ var (
 type Column struct {
 	Name string
 	Data vec.Vector
+	// distinct bounds the column's distinct values (see MaxDistinct).
+	distinct int
 }
 
 // Table is a fixed-cardinality collection of equal-length columns.
@@ -50,8 +52,23 @@ func (t *Table) AddColumn(name string, data vec.Vector) error {
 		return fmt.Errorf("storage: duplicate column %s.%s", t.Name, name)
 	}
 	t.idx[name] = len(t.cols)
-	t.cols = append(t.cols, Column{Name: name, Data: data})
+	t.cols = append(t.cols, Column{Name: name, Data: data, distinct: maxDistinct(data)})
 	return nil
+}
+
+// maxDistinct is min(rows, max−min+1) for an int32 column and the row count
+// for any other type. It scans the column once, when the table stores it.
+func maxDistinct(data vec.Vector) int {
+	n := data.Len()
+	if data.Type() != vec.Int32 || n == 0 {
+		return n
+	}
+	s := data.I32()
+	lo, hi := s[0], s[0]
+	for _, v := range s[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return int(min(int64(n), int64(hi)-int64(lo)+1))
 }
 
 // MustAddColumn is AddColumn for construction-time columns that cannot
@@ -69,6 +86,18 @@ func (t *Table) Column(name string) (vec.Vector, error) {
 		return vec.Vector{}, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, t.Name, name)
 	}
 	return t.cols[i].Data, nil
+}
+
+// MaxDistinct bounds the number of distinct values in a column: min(rows,
+// max−min+1) for an int32 column, the row count otherwise. It is computed
+// once, when the column is added; columns are not mutated afterwards. Hash
+// tables keyed on the column are sized from it.
+func (t *Table) MaxDistinct(name string) (int, error) {
+	i, ok := t.idx[name]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, t.Name, name)
+	}
+	return t.cols[i].distinct, nil
 }
 
 // MustColumn resolves a column that is known to exist; it panics otherwise.

@@ -73,3 +73,23 @@ func TestCatalog(t *testing.T) {
 		t.Errorf("catalog bytes = %d", c.Bytes())
 	}
 }
+
+func TestMaxDistinct(t *testing.T) {
+	tb := NewTable("t", 4)
+	tb.MustAddColumn("dense", vec.FromInt32([]int32{7, 5, 6, 5}))
+	tb.MustAddColumn("sparse", vec.FromInt32([]int32{-2147483648, 0, 2147483647, 3}))
+	tb.MustAddColumn("wide", vec.FromInt64([]int64{1, 1, 1, 1}))
+	for col, want := range map[string]int{"dense": 3, "sparse": 4, "wide": 4} {
+		if got, err := tb.MaxDistinct(col); err != nil || got != want {
+			t.Errorf("MaxDistinct(%s) = %d, %v; want %d", col, got, err, want)
+		}
+	}
+	if _, err := tb.MaxDistinct("zzz"); !errors.Is(err, ErrUnknownColumn) {
+		t.Errorf("unknown column: %v", err)
+	}
+	empty := NewTable("e", 0)
+	empty.MustAddColumn("a", vec.FromInt32(nil))
+	if got, _ := empty.MaxDistinct("a"); got != 0 {
+		t.Errorf("empty column bound = %d", got)
+	}
+}

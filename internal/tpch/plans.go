@@ -5,252 +5,61 @@ import (
 
 	"github.com/adamant-db/adamant/internal/device"
 	"github.com/adamant-db/adamant/internal/graph"
-	"github.com/adamant-db/adamant/internal/kernels"
-	"github.com/adamant-db/adamant/internal/task"
-	"github.com/adamant-db/adamant/internal/vec"
+	"github.com/adamant-db/adamant/internal/sql"
 )
 
-// Plan builders translate the evaluated TPC-H queries into annotated
-// primitive graphs, playing the role of the optimizer front-end the paper
-// assumes ("a query plan generated from any existing optimizer, translated
-// into a primitive graph with annotations"). Every node is annotated with
-// the target device; the runtime handles the rest.
+// The evaluated queries in the SQL front end's dialect. They are the one
+// copy every TPC-H plan comes from: the experiments, the golden traces,
+// adamant-run -q and the tests all plan them through sql.Plan, the path a
+// facade user's query takes. Joins are nested IN semi-joins, so each query
+// stays single-table per block, and Q3 groups by l_orderkey alone (the key
+// determines o_orderdate and o_shippriority, which the host can join back).
+const (
+	// SQLQ1 is the pricing-summary query: one wide lineitem scan grouped
+	// over the tiny return-flag/line-status domain.
+	SQLQ1 = `SELECT l_rfls, SUM(l_quantity) AS sum_qty,
+	                SUM(l_extendedprice * (100 - l_discount)) AS sum_rev, COUNT(*) AS cnt
+	         FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' GROUP BY l_rfls`
+	// SQLQ3 is the shipping-priority query, the paper's "multiple joins"
+	// representative.
+	SQLQ3 = `SELECT l_orderkey, SUM(l_extendedprice * (100 - l_discount)) AS revenue
+	         FROM lineitem
+	         WHERE l_shipdate > DATE '1995-03-15'
+	           AND l_orderkey IN (
+	             SELECT o_orderkey FROM orders
+	             WHERE o_orderdate < DATE '1995-03-15'
+	               AND o_custkey IN (SELECT c_custkey FROM customer WHERE c_mktsegment = 1))
+	         GROUP BY l_orderkey`
+	// SQLQ4 is the order-priority-checking query, the paper's "subquery"
+	// representative: an EXISTS semi-join from orders into lineitem.
+	SQLQ4 = `SELECT o_orderpriority, COUNT(*) AS order_count
+	         FROM orders
+	         WHERE o_orderdate >= DATE '1993-07-01' AND o_orderdate < DATE '1993-10-01'
+	           AND o_orderkey IN (SELECT l_orderkey FROM lineitem WHERE l_commitdate < l_receiptdate)
+	         GROUP BY o_orderpriority`
+	// SQLQ6 is the forecasting-revenue-change query, the paper's "heavy
+	// aggregation" representative: three conjunctive filters and one SUM.
+	SQLQ6 = `SELECT SUM(l_extendedprice * l_discount) AS revenue
+	         FROM lineitem
+	         WHERE l_shipdate BETWEEN DATE '1994-01-01' AND DATE '1994-12-31'
+	           AND l_discount BETWEEN 5 AND 7 AND l_quantity < 24`
+)
 
-// BuildQuery dispatches on the query name ("Q1", "Q3", "Q4", "Q6").
+// queries names the evaluated queries' texts.
+var queries = map[string]string{"Q1": SQLQ1, "Q3": SQLQ3, "Q4": SQLQ4, "Q6": SQLQ6}
+
+// BuildQuery plans an evaluated query over the dataset, every node
+// annotated with dev: the role of the optimizer front end the paper
+// assumes ("a query plan generated from any existing optimizer, translated
+// into a primitive graph with annotations").
 func BuildQuery(q string, d *Dataset, dev device.ID) (*graph.Graph, error) {
-	switch q {
-	case "Q1":
-		return BuildQ1(d, dev)
-	case "Q3":
-		return BuildQ3(d, dev)
-	case "Q4":
-		return BuildQ4(d, dev)
-	case "Q6":
-		return BuildQ6(d, dev)
-	default:
+	text, ok := queries[q]
+	if !ok {
 		return nil, fmt.Errorf("tpch: unknown query %q", q)
 	}
-}
-
-// BuildQ6 plans the forecasting-revenue-change query: a heavy scan of
-// lineitem with three conjunctive filters and one SUM — the paper's
-// "heavy aggregation" representative.
-//
-//	SELECT sum(l_extendedprice * l_discount) FROM lineitem
-//	WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'
-//	  AND l_discount BETWEEN 5 AND 7 AND l_quantity < 24
-func BuildQ6(d *Dataset, dev device.ID) (*graph.Graph, error) {
-	g := graph.New()
-	li := d.Lineitem
-	ship := g.AddScan("lineitem.l_shipdate", li.MustColumn("l_shipdate"), dev)
-	disc := g.AddScan("lineitem.l_discount", li.MustColumn("l_discount"), dev)
-	qty := g.AddScan("lineitem.l_quantity", li.MustColumn("l_quantity"), dev)
-	price := g.AddScan("lineitem.l_extendedprice", li.MustColumn("l_extendedprice"), dev)
-
-	fShip := g.AddTask(task.NewFilterBitmap(kernels.CmpBetween, int64(DateQ6Lo), int64(DateQ6Hi-1), "l_shipdate in 1994"), dev, ship)
-	fDisc := g.AddTask(task.NewFilterBitmap(kernels.CmpBetween, 5, 7, "l_discount in [5,7]"), dev, disc)
-	fQty := g.AddTask(task.NewFilterBitmap(kernels.CmpLt, 24, 0, "l_quantity<24"), dev, qty)
-	and1 := g.AddTask(task.NewBitmapAnd(), dev, g.Out(fShip, 0), g.Out(fDisc, 0))
-	and2 := g.AddTask(task.NewBitmapAnd(), dev, g.Out(and1, 0), g.Out(fQty, 0))
-
-	mPrice, err := task.NewMaterialize(vec.Int32, "l_extendedprice")
+	ast, err := sql.Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	mDisc, err := task.NewMaterialize(vec.Int32, "l_discount")
-	if err != nil {
-		return nil, err
-	}
-	matPrice := g.AddTask(mPrice, dev, price, g.Out(and2, 0))
-	matDisc := g.AddTask(mDisc, dev, disc, g.Out(and2, 0))
-
-	rev := g.AddTask(task.NewMapMul("price*discount"), dev, g.Out(matPrice, 0), g.Out(matDisc, 0))
-
-	aggT, err := task.NewAggBlock(kernels.AggSum, vec.Int64, "sum(revenue)")
-	if err != nil {
-		return nil, err
-	}
-	agg := g.AddTask(aggT, dev, g.Out(rev, 0))
-	g.MarkResult("revenue", g.Out(agg, 0))
-	return g, nil
-}
-
-// BuildQ3 plans the shipping-priority query, the paper's "multiple joins"
-// representative, grouped by l_orderkey (the group key determines
-// o_orderdate and o_shippriority, which the host can join back from the
-// orders table for presentation).
-//
-//	SELECT l_orderkey, sum(l_extendedprice*(1-l_discount)) AS revenue
-//	FROM customer, orders, lineitem
-//	WHERE c_mktsegment = 'BUILDING' AND c_custkey = o_custkey
-//	  AND l_orderkey = o_orderkey AND o_orderdate < '1995-03-15'
-//	  AND l_shipdate > '1995-03-15'
-//	GROUP BY l_orderkey
-func BuildQ3(d *Dataset, dev device.ID) (*graph.Graph, error) {
-	g := graph.New()
-	cu, or, li := d.Customer, d.Orders, d.Lineitem
-
-	// Pipeline 1: qualifying customers into a key set.
-	seg := g.AddScan("customer.c_mktsegment", cu.MustColumn("c_mktsegment"), dev)
-	ckey := g.AddScan("customer.c_custkey", cu.MustColumn("c_custkey"), dev)
-	fSeg := g.AddTask(task.NewFilterBitmap(kernels.CmpEq, int64(SegBuilding), 0, "c_mktsegment=BUILDING"), dev, seg)
-	mCust, err := task.NewMaterialize(vec.Int32, "c_custkey")
-	if err != nil {
-		return nil, err
-	}
-	matCust := g.AddTask(mCust, dev, ckey, g.Out(fSeg, 0))
-	bCust := g.AddTask(task.NewHashBuildSet(cu.Rows(), "build(custkey set)"), dev, g.Out(matCust, 0))
-
-	// Pipeline 2: qualifying orders into a key set.
-	odate := g.AddScan("orders.o_orderdate", or.MustColumn("o_orderdate"), dev)
-	ocust := g.AddScan("orders.o_custkey", or.MustColumn("o_custkey"), dev)
-	okey := g.AddScan("orders.o_orderkey", or.MustColumn("o_orderkey"), dev)
-	fDate := g.AddTask(task.NewFilterBitmap(kernels.CmpLt, int64(DateQ3), 0, "o_orderdate<1995-03-15"), dev, odate)
-	fCust := g.AddTask(task.NewSemiJoinFilter("o_custkey in customers"), dev, ocust, g.Out(bCust, 0))
-	andO := g.AddTask(task.NewBitmapAnd(), dev, g.Out(fDate, 0), g.Out(fCust, 0))
-	mOkey, err := task.NewMaterialize(vec.Int32, "o_orderkey")
-	if err != nil {
-		return nil, err
-	}
-	matOkey := g.AddTask(mOkey, dev, okey, g.Out(andO, 0))
-	bOrd := g.AddTask(task.NewHashBuildSet(or.Rows(), "build(orderkey set)"), dev, g.Out(matOkey, 0))
-
-	// Pipeline 3: lineitem probe, revenue, group-by orderkey.
-	lkey := g.AddScan("lineitem.l_orderkey", li.MustColumn("l_orderkey"), dev)
-	lship := g.AddScan("lineitem.l_shipdate", li.MustColumn("l_shipdate"), dev)
-	lprice := g.AddScan("lineitem.l_extendedprice", li.MustColumn("l_extendedprice"), dev)
-	ldisc := g.AddScan("lineitem.l_discount", li.MustColumn("l_discount"), dev)
-	fShip := g.AddTask(task.NewFilterBitmap(kernels.CmpGt, int64(DateQ3), 0, "l_shipdate>1995-03-15"), dev, lship)
-	fOrd := g.AddTask(task.NewSemiJoinFilter("l_orderkey in orders"), dev, lkey, g.Out(bOrd, 0))
-	andL := g.AddTask(task.NewBitmapAnd(), dev, g.Out(fShip, 0), g.Out(fOrd, 0))
-
-	mLkey, err := task.NewMaterialize(vec.Int32, "l_orderkey")
-	if err != nil {
-		return nil, err
-	}
-	mLprice, err := task.NewMaterialize(vec.Int32, "l_extendedprice")
-	if err != nil {
-		return nil, err
-	}
-	mLdisc, err := task.NewMaterialize(vec.Int32, "l_discount")
-	if err != nil {
-		return nil, err
-	}
-	matLkey := g.AddTask(mLkey, dev, lkey, g.Out(andL, 0))
-	matLprice := g.AddTask(mLprice, dev, lprice, g.Out(andL, 0))
-	matLdisc := g.AddTask(mLdisc, dev, ldisc, g.Out(andL, 0))
-
-	rev := g.AddTask(task.NewMapMulComplement(100, "price*(100-disc)"), dev, g.Out(matLprice, 0), g.Out(matLdisc, 0))
-	groupsHint := or.Rows()/2 + 1
-	hAgg := g.AddTask(task.NewHashAgg(kernels.AggSum, groupsHint, "sum(revenue) by l_orderkey"), dev, g.Out(matLkey, 0), g.Out(rev, 0))
-
-	// Pipeline 4: extract the group results.
-	ext := g.AddTask(task.NewHashExtract(groupsHint, "extract groups"), dev, g.Out(hAgg, 0))
-	g.MarkResult("l_orderkey", g.Out(ext, 0))
-	g.MarkResult("revenue", g.Out(ext, 1))
-	return g, nil
-}
-
-// BuildQ4 plans the order-priority-checking query, the paper's "subquery"
-// representative: an EXISTS semi-join from orders into lineitem.
-//
-//	SELECT o_orderpriority, count(*) FROM orders
-//	WHERE o_orderdate >= '1993-07-01' AND o_orderdate < '1993-10-01'
-//	  AND EXISTS (SELECT * FROM lineitem WHERE l_orderkey = o_orderkey
-//	              AND l_commitdate < l_receiptdate)
-//	GROUP BY o_orderpriority
-func BuildQ4(d *Dataset, dev device.ID) (*graph.Graph, error) {
-	g := graph.New()
-	or, li := d.Orders, d.Lineitem
-
-	// Pipeline 1: orderkeys of late lineitems into a key set.
-	commit := g.AddScan("lineitem.l_commitdate", li.MustColumn("l_commitdate"), dev)
-	receipt := g.AddScan("lineitem.l_receiptdate", li.MustColumn("l_receiptdate"), dev)
-	lkey := g.AddScan("lineitem.l_orderkey", li.MustColumn("l_orderkey"), dev)
-	fLate := g.AddTask(task.NewFilterColCmp(kernels.CmpLt, "l_commitdate<l_receiptdate"), dev, commit, receipt)
-	mLkey, err := task.NewMaterialize(vec.Int32, "l_orderkey")
-	if err != nil {
-		return nil, err
-	}
-	matLkey := g.AddTask(mLkey, dev, lkey, g.Out(fLate, 0))
-	bLate := g.AddTask(task.NewHashBuildSet(or.Rows(), "build(late orderkeys)"), dev, g.Out(matLkey, 0))
-
-	// Pipeline 2: qualifying orders counted by priority.
-	odate := g.AddScan("orders.o_orderdate", or.MustColumn("o_orderdate"), dev)
-	okey := g.AddScan("orders.o_orderkey", or.MustColumn("o_orderkey"), dev)
-	oprio := g.AddScan("orders.o_orderpriority", or.MustColumn("o_orderpriority"), dev)
-	fDate := g.AddTask(task.NewFilterBitmap(kernels.CmpBetween, int64(DateQ4Lo), int64(DateQ4Hi-1), "o_orderdate in Q3/1993"), dev, odate)
-	fEx := g.AddTask(task.NewSemiJoinFilter("exists late lineitem"), dev, okey, g.Out(bLate, 0))
-	andO := g.AddTask(task.NewBitmapAnd(), dev, g.Out(fDate, 0), g.Out(fEx, 0))
-	mPrio, err := task.NewMaterialize(vec.Int32, "o_orderpriority")
-	if err != nil {
-		return nil, err
-	}
-	matPrio := g.AddTask(mPrio, dev, oprio, g.Out(andO, 0))
-	hCnt := g.AddTask(task.NewHashAggCount(NumPriorities, "count by priority"), dev, g.Out(matPrio, 0))
-
-	// Pipeline 3: extract.
-	ext := g.AddTask(task.NewHashExtract(NumPriorities, "extract priorities"), dev, g.Out(hCnt, 0))
-	g.MarkResult("o_orderpriority", g.Out(ext, 0))
-	g.MarkResult("order_count", g.Out(ext, 1))
-	return g, nil
-}
-
-// BuildQ1 plans the pricing-summary query (not in the paper's Figure 11
-// but exercised by its primitive profiles): one wide lineitem scan with
-// group-by aggregation over a tiny group domain.
-//
-//	SELECT l_rfls, sum(l_quantity), sum(l_extendedprice*(1-l_discount)),
-//	       count(*)
-//	FROM lineitem WHERE l_shipdate <= '1998-12-01' - 90 days
-//	GROUP BY l_rfls
-func BuildQ1(d *Dataset, dev device.ID) (*graph.Graph, error) {
-	g := graph.New()
-	li := d.Lineitem
-	ship := g.AddScan("lineitem.l_shipdate", li.MustColumn("l_shipdate"), dev)
-	rfls := g.AddScan("lineitem.l_rfls", li.MustColumn("l_rfls"), dev)
-	qty := g.AddScan("lineitem.l_quantity", li.MustColumn("l_quantity"), dev)
-	price := g.AddScan("lineitem.l_extendedprice", li.MustColumn("l_extendedprice"), dev)
-	disc := g.AddScan("lineitem.l_discount", li.MustColumn("l_discount"), dev)
-
-	fShip := g.AddTask(task.NewFilterBitmap(kernels.CmpLe, int64(DateQ1Cutoff), 0, "l_shipdate<=cutoff"), dev, ship)
-
-	mRfls, err := task.NewMaterialize(vec.Int32, "l_rfls")
-	if err != nil {
-		return nil, err
-	}
-	mQty, err := task.NewMaterialize(vec.Int32, "l_quantity")
-	if err != nil {
-		return nil, err
-	}
-	mPrice, err := task.NewMaterialize(vec.Int32, "l_extendedprice")
-	if err != nil {
-		return nil, err
-	}
-	mDisc, err := task.NewMaterialize(vec.Int32, "l_discount")
-	if err != nil {
-		return nil, err
-	}
-	matRfls := g.AddTask(mRfls, dev, rfls, g.Out(fShip, 0))
-	matQty := g.AddTask(mQty, dev, qty, g.Out(fShip, 0))
-	matPrice := g.AddTask(mPrice, dev, price, g.Out(fShip, 0))
-	matDisc := g.AddTask(mDisc, dev, disc, g.Out(fShip, 0))
-
-	qty64 := g.AddTask(task.NewMapCast("quantity"), dev, g.Out(matQty, 0))
-	rev := g.AddTask(task.NewMapMulComplement(100, "price*(100-disc)"), dev, g.Out(matPrice, 0), g.Out(matDisc, 0))
-
-	hQty := g.AddTask(task.NewHashAgg(kernels.AggSum, NumRfls, "sum(qty) by rfls"), dev, g.Out(matRfls, 0), g.Out(qty64, 0))
-	hRev := g.AddTask(task.NewHashAgg(kernels.AggSum, NumRfls, "sum(rev) by rfls"), dev, g.Out(matRfls, 0), g.Out(rev, 0))
-	hCnt := g.AddTask(task.NewHashAggCount(NumRfls, "count by rfls"), dev, g.Out(matRfls, 0))
-
-	extQty := g.AddTask(task.NewHashExtract(NumRfls, "extract qty"), dev, g.Out(hQty, 0))
-	extRev := g.AddTask(task.NewHashExtract(NumRfls, "extract rev"), dev, g.Out(hRev, 0))
-	extCnt := g.AddTask(task.NewHashExtract(NumRfls, "extract cnt"), dev, g.Out(hCnt, 0))
-	g.MarkResult("rfls_qty", g.Out(extQty, 0))
-	g.MarkResult("sum_qty", g.Out(extQty, 1))
-	g.MarkResult("rfls_rev", g.Out(extRev, 0))
-	g.MarkResult("sum_rev", g.Out(extRev, 1))
-	g.MarkResult("rfls_cnt", g.Out(extCnt, 0))
-	g.MarkResult("count", g.Out(extCnt, 1))
-	return g, nil
+	return sql.Plan(ast, sql.PlanConfig{Catalog: d.Catalog(), Device: dev})
 }

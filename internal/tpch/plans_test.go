@@ -1,6 +1,11 @@
 package tpch
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/adamant-db/adamant/internal/device"
@@ -14,7 +19,7 @@ func TestBuildQueryShapes(t *testing.T) {
 		pipelines int
 		results   int
 	}{
-		"Q1": {pipelines: 4, results: 6}, // scan pipeline + 3 extract pipelines
+		"Q1": {pipelines: 4, results: 4}, // scan pipeline + 3 extract pipelines
 		"Q3": {pipelines: 4, results: 2}, // customer, orders, lineitem, extract
 		"Q4": {pipelines: 3, results: 2}, // lineitem, orders, extract
 		"Q6": {pipelines: 1, results: 1},
@@ -46,7 +51,7 @@ func TestBuildQueryShapes(t *testing.T) {
 
 func TestQ3PipelineDependencies(t *testing.T) {
 	ds := smallDataset(t)
-	g, err := BuildQ3(ds, device.ID(0))
+	g, err := BuildQuery("Q3", ds, device.ID(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,5 +74,46 @@ func TestQ3PipelineDependencies(t *testing.T) {
 	// The extract pipeline has no streamed inputs.
 	if len(ps[3].Scans) != 0 {
 		t.Errorf("extract pipeline scans = %d", len(ps[3].Scans))
+	}
+}
+
+// TestPerfQueriesMatch guards against drift between the benchmark and the
+// reproduction: perf/workload.go keeps its own copies of the four query
+// texts, and they must equal this package's up to whitespace, or the
+// benchmark would measure plans the reproduction does not run.
+func TestPerfQueriesMatch(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "../../perf/workload.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perf := map[string]string{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		for i, name := range spec.Names {
+			if !strings.HasPrefix(name.Name, "sqlQ") || i >= len(spec.Values) {
+				continue
+			}
+			if lit, ok := spec.Values[i].(*ast.BasicLit); ok {
+				if perf[name.Name], err = strconv.Unquote(lit.Value); err != nil {
+					t.Fatalf("%s: %v", name.Name, err)
+				}
+			}
+		}
+		return true
+	})
+	norm := func(s string) string { return strings.Join(strings.Fields(s), " ") }
+	for _, q := range []string{"Q1", "Q3", "Q4", "Q6"} {
+		ours := queries[q]
+		theirs, ok := perf["sql"+q]
+		if !ok {
+			t.Errorf("perf/workload.go has no sql%s", q)
+			continue
+		}
+		if norm(theirs) != norm(ours) {
+			t.Errorf("sql%s drifted from tpch.SQL%s:\n perf: %s\n tpch: %s", q, q, norm(theirs), norm(ours))
+		}
 	}
 }

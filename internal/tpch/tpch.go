@@ -1,5 +1,7 @@
-// Package tpch generates the TPC-H data the paper evaluates on and builds
-// the primitive-graph plans for the queries it measures (Q1, Q3, Q4, Q6).
+// Package tpch generates the TPC-H data the paper evaluates on and holds
+// the queries it measures (Q1, Q3, Q4, Q6) as SQL text. BuildQuery plans
+// them through internal/sql, the front end every SQL query takes, so the
+// reproduction runs the plans users run.
 //
 // The generator is a deterministic, in-process substitute for dbgen. It
 // produces exactly the columns the evaluated queries touch, with the

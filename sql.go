@@ -44,12 +44,11 @@ func NewCatalog(tables ...*Table) *Catalog {
 	return &Catalog{inner: c}
 }
 
-// QueryOptions configures one SQL execution.
+// QueryOptions configures one SQL execution. Hash tables are sized from
+// the data (each key column's value range, bounded by the table's rows),
+// so there is no sizing knob.
 type QueryOptions struct {
 	ExecOptions
-	// GroupsHint estimates the distinct group count for GROUP BY sizing
-	// (zero: a quarter of the table's rows).
-	GroupsHint int
 }
 
 // Query parses, plans and executes a SQL query against the catalog on the
@@ -77,11 +76,7 @@ func (e *Engine) QueryContext(ctx context.Context, cat *Catalog, dev DeviceID, q
 	if err != nil {
 		return nil, err
 	}
-	g, err := sql.Plan(ast, sql.PlanConfig{
-		Catalog:    cat.inner,
-		Device:     dev,
-		GroupsHint: opts.GroupsHint,
-	})
+	g, err := sql.Plan(ast, sql.PlanConfig{Catalog: cat.inner, Device: dev})
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func TestQueryGroupByWithSubquery(t *testing.T) {
 		SELECT region, SUM(amount) AS total, COUNT(*) AS n
 		FROM sales
 		WHERE region IN (SELECT r_id FROM regions WHERE r_active = 1)
-		GROUP BY region`, adamant.QueryOptions{GroupsHint: 4})
+		GROUP BY region`, adamant.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
