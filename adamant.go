@@ -468,14 +468,14 @@ type Engine struct {
 	coord      *shard.Coordinator
 	confErr    error
 
-	// auto-planning state (WithAutoPlan). calMu guards the one-time
-	// calibration pass and catalog swaps (SeedCatalog); the catalog itself
-	// is concurrency-safe.
+	// auto-planning state (WithAutoPlan). candidates records every plugged
+	// device with the constructor it was plugged from, so the planner can
+	// rehearse on fresh instances; autoMu guards it and catalog swaps
+	// (SeedCatalog). The catalog itself is concurrency-safe.
 	auto       bool
 	catalog    *cost.Catalog
-	planner    *cost.Planner
-	calMu      sync.Mutex
-	calibrated bool
+	candidates []cost.Candidate
+	autoMu     sync.Mutex
 }
 
 // NewEngine returns an engine with no devices plugged. With no options the
@@ -502,7 +502,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 	}
 	if cfg.auto {
 		e.catalog = cost.New()
-		e.planner = cost.NewPlanner(e.catalog)
 	}
 	if cfg.health != nil {
 		e.health = session.NewHealthTracker(*cfg.health)
@@ -519,7 +518,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 	}
 	if cfg.shards > 1 {
 		if cfg.auto {
-			e.confErr = fmt.Errorf("adamant: WithShards cannot be combined with WithAutoPlan (the auto planner's calibration and catalog are per-runtime)")
+			e.confErr = fmt.Errorf("adamant: WithShards cannot be combined with WithAutoPlan (the auto planner's catalog is per-runtime)")
 		} else {
 			e.buildShards(&cfg)
 		}
@@ -604,13 +603,18 @@ func deviceMaker(spec *simhw.Spec, sdk SDK) (func() device.Device, error) {
 // PlugDevice registers a custom device implementation. Any type satisfying
 // the device layer's ten interfaces can be plugged without changing the
 // runtime — the paper's headline claim. A sharded engine rejects it (a
-// single instance cannot be replicated across runtimes); use PlugMaker.
+// single instance cannot be replicated across runtimes), and so does an
+// auto-planning one (the planner rehearses on fresh instances); use
+// PlugMaker.
 func (e *Engine) PlugDevice(d device.Device) (DeviceID, error) {
 	if e.confErr != nil {
 		return 0, e.confErr
 	}
 	if len(e.shardCtxs) > 1 {
 		return 0, fmt.Errorf("adamant: PlugDevice cannot replicate one device instance across %d shards; use PlugMaker", len(e.shardCtxs))
+	}
+	if e.auto {
+		return 0, fmt.Errorf("adamant: PlugDevice gives the auto planner no fresh instance to rehearse on; use PlugMaker")
 	}
 	return e.registerOn(0, d)
 }
@@ -626,13 +630,17 @@ func (e *Engine) PlugMaker(mk func() device.Device) (DeviceID, error) {
 }
 
 // register plugs one device instance per shard runtime (just the engine's
-// own when sharding is off). Shards must stay mirror images: a divergent
-// device ID across shards is an internal error.
+// own when sharding is off) and keeps mk as the device's rehearsal
+// constructor. Shards must stay mirror images: a divergent device ID across
+// shards is an internal error.
 func (e *Engine) register(mk func() device.Device) (DeviceID, error) {
 	id, err := e.registerOn(0, mk())
 	if err != nil {
 		return 0, err
 	}
+	e.autoMu.Lock()
+	e.candidates = append(e.candidates, cost.Candidate{ID: id, New: mk})
+	e.autoMu.Unlock()
 	for s := 1; s < len(e.shardCtxs); s++ {
 		sid, err := e.registerOn(s, mk())
 		if err != nil {
@@ -800,7 +808,6 @@ func (e *Engine) runGraph(ctx context.Context, g *graph.Graph, opts exec.Options
 	// entries) and before demand estimation (admission must see the chosen
 	// model and chunk size).
 	var autoDec *cost.Decision
-	autoMark := 0
 	if e.auto {
 		dec, err := e.autoPlan(g)
 		if err != nil {
@@ -811,11 +818,6 @@ func (e *Engine) runGraph(ctx context.Context, g *graph.Graph, opts exec.Options
 		opts.ChunkElems = dec.ChunkElems
 		opts.PlanNotes = dec.Notes
 		opts.Replan = dec.Replan()
-		if opts.Recorder == nil {
-			// The catalog learns from spans; auto mode always records.
-			opts.Recorder = trace.NewRecorder()
-		}
-		autoMark = opts.Recorder.Len()
 	}
 	demand, err := exec.EstimateDemand(g, opts)
 	if err != nil {
@@ -855,7 +857,7 @@ func (e *Engine) runGraph(ctx context.Context, g *graph.Graph, opts exec.Options
 
 	e.observeHealth(res, runErr)
 	if autoDec != nil {
-		e.observeAutoPlan(autoDec, opts, res, runErr, autoMark)
+		e.observeAutoPlan(autoDec, opts, res, runErr)
 	}
 	e.publishQuery(q, opts, res, runErr)
 	e.pulseHealth()

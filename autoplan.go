@@ -2,33 +2,36 @@ package adamant
 
 import (
 	"github.com/adamant-db/adamant/internal/cost"
-	"github.com/adamant-db/adamant/internal/device"
 	"github.com/adamant-db/adamant/internal/exec"
 	"github.com/adamant-db/adamant/internal/graph"
 )
 
-// CostCatalog is the engine's learned cost store: per-(primitive, driver,
-// size-bucket) execution rates fed by every auto-planned query's trace,
-// EWMA-smoothed, deterministically serializable (WriteTo/Keys). See
-// Engine.CostCatalog.
+// CostCatalog is the engine's learned cost store: whole-query virtual-time
+// rates per (execution model, driver, plan shape, size bucket), filled by
+// rehearsals and every auto-planned run, EWMA-smoothed, deterministically
+// serializable (WriteTo/Keys). See Engine.CostCatalog.
 type CostCatalog = cost.Catalog
 
 // AutoDecision is one auto-planner outcome: the chosen execution model,
-// chunk size, primary device, and the human-readable notes that become the
-// trace's autoplan spans.
+// chunk size, device, and the human-readable notes that become the trace's
+// autoplan spans.
 type AutoDecision = cost.Decision
 
-// WithAutoPlan arms cost-catalog-driven auto planning: every query through
-// the engine gets its device placement, execution model, and initial chunk
-// size chosen from the engine's learned cost catalog (ExecOptions.Model and
-// ChunkElems become hints the planner overrides). The first auto-planned
-// query triggers a one-time calibration pass seeding the catalog with
-// measured rates for the workhorse primitives on every plugged device;
-// every subsequent query's trace feeds the catalog, so plans improve as the
-// engine observes its own workload. When observed pipeline cardinality
-// drifts 2x from the optimizer's estimate mid-query, the executor restarts
-// the attempt once with a re-sized chunk (bit-identical results by
-// construction — the same restart mechanism failover uses).
+// WithAutoPlan arms auto planning: every query through the engine gets its
+// device, execution model, and initial chunk size chosen by the cost
+// planner (ExecOptions.Model and ChunkElems become hints it overrides). The
+// first query of a plan shape is rehearsed: it runs under all five models
+// on a fresh instance of every plugged device — built from the constructor
+// the device was plugged with, so no live timeline moves — and the fastest
+// cell wins. Rehearsing costs one query run per cell; later queries of the
+// same shape and size bucket read the measured rates back from the catalog
+// and rehearse nothing, and every auto-planned run's elapsed time feeds the
+// catalog. When observed pipeline cardinality drifts 2x from the
+// optimizer's estimate mid-query, the executor restarts the attempt once
+// with a re-sized chunk (bit-identical results by construction — the same
+// restart mechanism failover uses). Auto-planning engines accept devices
+// through Plug and PlugMaker only: PlugDevice hands over one instance and
+// no way to build a fresh one.
 func WithAutoPlan() EngineOption {
 	return func(c *engineConfig) { c.auto = true }
 }
@@ -39,63 +42,42 @@ func (e *Engine) AutoPlanEnabled() bool { return e.auto }
 // CostCatalog exposes the engine's learned cost catalog for inspection,
 // serialization (WriteTo), or pre-warming from a previous run (load with
 // cost.Read and SeedCatalog). Nil without WithAutoPlan.
-func (e *Engine) CostCatalog() *CostCatalog { return e.catalog }
+func (e *Engine) CostCatalog() *CostCatalog {
+	e.autoMu.Lock()
+	defer e.autoMu.Unlock()
+	return e.catalog
+}
 
 // SeedCatalog replaces the engine's catalog contents with a previously
-// serialized one (see CostCatalog().WriteTo), skipping the calibration pass:
-// a warm catalog reproduces the plans of the engine that wrote it.
+// serialized one (see CostCatalog().WriteTo): a warm catalog reproduces the
+// plans of the engine that wrote it and rehearses none of the cells it
+// holds.
 func (e *Engine) SeedCatalog(c *CostCatalog) {
 	if !e.auto || c == nil {
 		return
 	}
-	e.calMu.Lock()
+	e.autoMu.Lock()
 	e.catalog = c
-	e.planner = cost.NewPlanner(c)
-	e.calibrated = true
-	e.calMu.Unlock()
+	e.autoMu.Unlock()
 }
 
-// autoPlan calibrates once, then plans the graph against every plugged
-// device. It returns the decision whose fields runGraph lowers onto the
-// executor options.
+// autoPlan plans the graph against every plugged device. The lock is not
+// held while planning, since rehearsals call the plugged constructors:
+// concurrent first queries of one shape may each rehearse it, and record
+// the same rates.
 func (e *Engine) autoPlan(g *graph.Graph) (*cost.Decision, error) {
-	e.calMu.Lock()
-	if !e.calibrated {
-		// Calibration runs tiny probe queries directly on the runtime
-		// (outside admission — their demand is negligible). Devices that
-		// fail the probe are skipped; the analytic fallback covers them.
-		if err := cost.Calibrate(e.rt, e.allDevices(), e.catalog); err != nil {
-			e.calMu.Unlock()
-			return nil, err
-		}
-		e.calibrated = true
-	}
-	planner := e.planner
-	e.calMu.Unlock()
-	return planner.Plan(g, e.rt, cost.PlanOptions{Candidates: e.allDevices()})
-}
-
-// allDevices lists every plugged device ID in registration order.
-func (e *Engine) allDevices() []device.ID {
-	n := len(e.rt.Devices())
-	ids := make([]device.ID, n)
-	for i := range ids {
-		ids[i] = device.ID(i)
-	}
-	return ids
+	e.autoMu.Lock()
+	cat, cands := e.catalog, e.candidates
+	e.autoMu.Unlock()
+	return cost.NewPlanner(cat).Plan(g, e.rt, cost.PlanOptions{Candidates: cands})
 }
 
 // observeAutoPlan feeds a finished auto-planned query back into the
-// catalog: per-primitive rates from its spans always, and the whole-query
-// rate for the (model, driver) cell only when the run succeeded (a faulted
-// run's elapsed time is not the configuration's cost).
-func (e *Engine) observeAutoPlan(dec *cost.Decision, opts exec.Options, res *exec.Result, runErr error, mark int) {
-	spans := opts.Recorder.Spans()
-	if mark < len(spans) {
-		e.catalog.ObserveSpans(spans[mark:])
-	}
+// catalog — the whole-query rate of the cell it ran, only when the run
+// succeeded (a faulted run's elapsed time is not the configuration's cost).
+func (e *Engine) observeAutoPlan(dec *cost.Decision, opts exec.Options, res *exec.Result, runErr error) {
 	if runErr == nil && res != nil {
-		e.catalog.ObserveQuery(opts.Model.String(), dec.Driver, dec.Rows, res.Stats.Elapsed)
+		e.CostCatalog().ObserveQuery(opts.Model.String(), dec.Driver, dec.Shape, dec.Rows, res.Stats.Elapsed)
 	}
 	if t := e.tele; t != nil {
 		t.autoplanQueries.Add(1, dec.Driver, opts.Model.String())

@@ -2,10 +2,16 @@ package adamant
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"github.com/adamant-db/adamant/internal/cost"
+	"github.com/adamant-db/adamant/internal/device"
+	"github.com/adamant-db/adamant/internal/driver/simomp"
 	"github.com/adamant-db/adamant/internal/exec"
+	"github.com/adamant-db/adamant/internal/simhw"
 	"github.com/adamant-db/adamant/internal/trace"
 )
 
@@ -54,6 +60,79 @@ func TestDifferentialAutoPlan(t *testing.T) {
 		if autoEng.CostCatalog().Len() == 0 {
 			t.Errorf("%s: catalog empty after an auto-planned query", label)
 		}
+	}
+}
+
+// TestAutoPlanRehearsesShapeOnce: the engine's first query of a plan shape
+// rehearses it, the repeat reads the catalog and rehearses nothing — the
+// trace's autoplan notes say which happened.
+func TestAutoPlanRehearsesShapeOnce(t *testing.T) {
+	eng := harnessEngine(t, harnessDrivers[0], nil, WithAutoPlan())
+	for run, want := range []int{1, 0} {
+		rec := NewTraceRecorder()
+		if _, err := eng.Execute(buildHarnessPlan(eng, 11), ExecOptions{Recorder: rec}); err != nil {
+			t.Fatal(err)
+		}
+		var got int
+		for _, s := range rec.internal().Spans() {
+			if s.Kind == trace.KindAutoPlan && strings.HasPrefix(s.Label, "rehearse ") {
+				got++
+			}
+		}
+		if got != want {
+			t.Errorf("run %d: %d rehearsal notes, want %d", run, got, want)
+		}
+	}
+}
+
+// TestAutoPlanConcurrent runs first and repeat queries of one shape from
+// several goroutines on one auto-planning engine, while another goroutine
+// swaps in a fresh catalog: every answer matches the manual run, whichever
+// goroutine rehearsed. Run it under -race.
+func TestAutoPlanConcurrent(t *testing.T) {
+	drv := harnessDrivers[0]
+	baseEng := harnessEngine(t, drv, nil)
+	want, err := baseEng.Execute(buildHarnessPlan(baseEng, 11), ExecOptions{Model: Chunked, ChunkElems: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := harnessEngine(t, drv, nil, WithAutoPlan())
+	var wg sync.WaitGroup
+	results := make([]*Result, 8)
+	errs := make([]error, len(results))
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = eng.Execute(buildHarnessPlan(eng, 11), ExecOptions{})
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		eng.SeedCatalog(cost.New())
+	}()
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("query %d: %v", i, errs[i])
+		}
+		sameResults(t, fmt.Sprintf("concurrent auto query %d", i), want, res)
+	}
+	checkMemBaseline(t, eng, "concurrent auto")
+}
+
+// TestAutoPlanRejectsPlugDevice: an auto-planning engine needs a
+// constructor per device to rehearse on, so it takes PlugMaker and refuses
+// a lone instance, naming the way out.
+func TestAutoPlanRejectsPlugDevice(t *testing.T) {
+	eng := NewEngine(WithAutoPlan())
+	_, err := eng.PlugDevice(simomp.New(&simhw.CoreI78700, nil))
+	if err == nil || !strings.Contains(err.Error(), "PlugMaker") {
+		t.Fatalf("PlugDevice on an auto-planning engine: got %v, want an error naming PlugMaker", err)
+	}
+	if _, err := eng.PlugMaker(func() device.Device { return simomp.New(&simhw.CoreI78700, nil) }); err != nil {
+		t.Fatalf("PlugMaker on an auto-planning engine: %v", err)
 	}
 }
 
@@ -133,10 +212,10 @@ func TestDifferentialAutoPlanUnderFaults(t *testing.T) {
 	if matched == 0 {
 		t.Error("no faulted auto run ever completed")
 	}
-	// Unlike the fixed-placement harnesses, the auto planner routes around a
-	// device whose calibration probes fault — so many schedules never fire.
-	// The harness still has to demonstrate faults reaching auto-planned
-	// queries somewhere: retried, recovered, or surfaced typed.
+	// Unlike the fixed-placement harnesses, the auto planner may move a
+	// query off the faulted device — so many schedules never fire. The
+	// harness still has to demonstrate faults reaching auto-planned queries
+	// somewhere: retried, recovered, or surfaced typed.
 	if !testing.Short() && injected == 0 {
 		t.Error("no faulted auto run ever saw a fault; the schedules are not injecting")
 	}

@@ -81,7 +81,7 @@ func run(ctx context.Context) error {
 	cachePolicy := flag.String("cache-policy", "cost", "buffer-pool eviction policy: cost (bytes x transfer cost) or lru")
 	repeat := flag.Int("repeat", 1, "run the query this many times on one engine (with -cache, later runs hit the pool)")
 	fuse := flag.Bool("fuse", false, "rewrite fusible filter/map/aggregate chains into single-pass fused kernels before executing")
-	auto := flag.Bool("auto", false, "auto-plan: calibrate a cost catalog, then let it pick placement, execution model and chunk size (-model/-chunk become hints it overrides)")
+	auto := flag.Bool("auto", false, "auto-plan: rehearse the query under every execution model on fresh instances of the plugged devices and run the fastest cell (-model/-chunk become hints it overrides)")
 	shards := flag.Int("shards", 1, "scatter the query over N independent runtime shards and gather exact merged results (1 = off)")
 	hedge := flag.Bool("hedge", false, "with -shards, hedge straggling partitions: duplicate them in virtual time on the shard that frees up first, earlier completion wins")
 	profileOn := flag.Bool("profile", false, "fold every run into the fleet profiler and print the per-shape resource ledger")
@@ -149,6 +149,7 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	candidates := []cost.Candidate{{ID: id, New: rehearsalMaker(*driver)}}
 	fmt.Printf("device: %s\n", dev.Info().Name)
 	if plan != nil {
 		fmt.Printf("faults: %s\n", *faults)
@@ -168,6 +169,7 @@ func run(ctx context.Context) error {
 			return err
 		}
 		fallbackID = &fid
+		candidates = append(candidates, cost.Candidate{ID: fid, New: rehearsalMaker(*fallback)})
 		fmt.Printf("fallback: %s\n", fdev.Info().Name)
 	}
 
@@ -226,22 +228,14 @@ func run(ctx context.Context) error {
 	}
 	var autoDec *cost.Decision
 	if *auto {
-		cat := cost.New()
-		ids := make([]device.ID, len(rt.Devices()))
-		for i := range ids {
-			ids[i] = device.ID(i)
-		}
-		if err := cost.Calibrate(rt, ids, cat); err != nil {
-			return err
-		}
-		autoDec, err = cost.NewPlanner(cat).Plan(g, rt, cost.PlanOptions{Candidates: ids})
+		autoDec, err = cost.NewPlanner(cost.New()).Plan(g, rt, cost.PlanOptions{Candidates: candidates})
 		if err != nil {
 			return err
 		}
 		model = autoDec.Model
 		chunkElems = autoDec.ChunkElems
-		fmt.Printf("auto plan: model=%v chunk=%d device=%s (predicted %v, catalog %d entries)\n",
-			autoDec.Model, autoDec.ChunkElems, autoDec.Driver, autoDec.Predicted, cat.Len())
+		fmt.Printf("auto plan: model=%v chunk=%d device=%s (predicted %v, %d cells rehearsed)\n",
+			autoDec.Model, autoDec.ChunkElems, autoDec.Driver, autoDec.Predicted, autoDec.Rehearsals)
 		for _, n := range autoDec.Notes {
 			fmt.Printf("  plan       %s\n", n)
 		}
@@ -567,6 +561,16 @@ func buildFleet(rt *hub.Runtime, pool *bufpool.Manager, plan *fault.Plan, fc fle
 		cfg.Hedge = shard.HedgePolicy{Enabled: true}
 	}
 	return shard.New(cfg)
+}
+
+// rehearsalMaker returns a constructor for fresh, unwrapped instances of a
+// driver already built once, for the auto planner's rehearsals; buildDevice
+// accepted the name then, so its error is dropped.
+func rehearsalMaker(driver string) func() device.Device {
+	return func() device.Device {
+		d, _ := buildDevice(driver)
+		return d
+	}
 }
 
 func buildDevice(driver string) (device.Device, error) {

@@ -20,7 +20,7 @@ import (
 )
 
 // goldenAutoTrace runs one query end-to-end in auto mode on a two-device
-// rig — deterministic calibration, catalog-driven plan, execution with the
+// rig — a cold plan rehearsed on fresh instances, execution with the
 // decision's notes and re-plan hook — and returns the rendered trace, the
 // raw spans, and the decision itself.
 func goldenAutoTrace(t *testing.T, query string, replan exec.ReplanFunc) (string, []trace.Span, *cost.Decision) {
@@ -30,26 +30,22 @@ func goldenAutoTrace(t *testing.T, query string, replan exec.ReplanFunc) (string
 		t.Fatal(err)
 	}
 	rt := hub.NewRuntime()
-	var ids []device.ID
-	for _, dev := range []device.Device{
-		simcuda.New(&simhw.RTX2080Ti, nil),
-		simomp.New(&simhw.CoreI78700, nil),
+	var cands []cost.Candidate
+	for _, mk := range []func() device.Device{
+		func() device.Device { return simcuda.New(&simhw.RTX2080Ti, nil) },
+		func() device.Device { return simomp.New(&simhw.CoreI78700, nil) },
 	} {
-		id, err := rt.Register(dev)
+		id, err := rt.Register(mk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		cands = append(cands, cost.Candidate{ID: id, New: mk})
 	}
-	cat := cost.New()
-	if err := cost.Calibrate(rt, ids, cat); err != nil {
-		t.Fatal(err)
-	}
-	g, err := tpch.BuildQuery(query, ds, ids[0])
+	g, err := tpch.BuildQuery(query, ds, cands[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := cost.NewPlanner(cat).Plan(g, rt, cost.PlanOptions{Candidates: ids, MaxChunk: 512})
+	dec, err := cost.NewPlanner(cost.New()).Plan(g, rt, cost.PlanOptions{Candidates: cands, MaxChunk: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +98,10 @@ func checkReplanSpans(t *testing.T, label string, spans []trace.Span) int {
 }
 
 // TestGoldenTraceAuto pins the full auto-mode trace of Q6 and Q3 on a
-// GPU+CPU rig: calibration feeds the catalog, the planner's decision spans
-// land in the trace as autoplan annotations, and the whole rendering —
-// placement, model, chunk, spans, summary — is byte-stable across runs.
+// GPU+CPU rig: the rehearsals fill the catalog, the planner's decision
+// spans land in the trace as autoplan annotations, and the whole rendering
+// — rehearsal, device, model, chunk, spans, summary — is byte-stable
+// across runs.
 func TestGoldenTraceAuto(t *testing.T) {
 	for _, query := range []string{"Q3", "Q6"} {
 		name := query + "-auto-plan"

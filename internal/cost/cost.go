@@ -1,36 +1,37 @@
-// Package cost closes ADAMANT's feedback loop: it keeps a per-(primitive,
-// driver, size-bucket) catalog of measured execution rates, learned online
-// from the same traces ExplainAnalyze renders, and plans queries from it —
-// device placement, execution model, and initial chunk size — with a
-// mid-query re-planning hook when observed cardinalities drift from the
-// estimates.
+// Package cost closes ADAMANT's feedback loop: it keeps a catalog of
+// measured virtual-time rates and plans queries from it — device, execution
+// model, and initial chunk size — with a mid-query re-planning hook when
+// observed cardinalities drift from the estimates.
 //
 // The paper leaves placement and model choice to the user of the plug-in
-// interfaces; the catalog turns the measurement half built in earlier PRs
-// (per-primitive measured ns, estimated-vs-actual rows, the adaptive
-// chunking ladder) into the deciding half. Shanbhag et al.'s CPU/GPU
-// crossover study motivates the shape: the right device flips with operator
-// family and input size, so entries are keyed by primitive name, driver,
-// and log2 size bucket, and predictions interpolate from the nearest
-// learned bucket before falling back to internal/place's analytic model.
+// interfaces, and its Fig. 9/11 finding is that the right choice flips with
+// the query and the scale. The planner does not guess it from a cost model
+// of its own: the executor running on the simulated devices is the one
+// pricing source, so a plan whose cells the catalog lacks is rehearsed —
+// run under every execution model on a fresh instance of every candidate
+// device — and the fastest cell wins. Whole-query rates are keyed by model,
+// driver, plan shape (graph.Fingerprint) and log2 size bucket, and looked
+// up exactly: a later plan of the same shape reads them back and rehearses
+// nothing. The same Key/Entry store also backs the profiler's per-primitive
+// anomaly baselines (Nearest, PrimH2D, PrimD2H).
 //
 // Determinism is load-bearing. EWMA updates are plain arithmetic over
-// virtual-time spans, serialization writes exact hex floats under sorted
-// keys, and the planner breaks ties in enum order — so a warm catalog
-// reproduces identical plans, and plans are diffable artifacts like traces.
+// virtual time, serialization writes exact hex floats under sorted keys,
+// and the planner breaks ties in candidate and enum order — so a warm
+// catalog reproduces identical plans, and plans are diffable artifacts like
+// traces.
 package cost
 
 import (
 	"sort"
 	"sync"
 
-	"github.com/adamant-db/adamant/internal/trace"
 	"github.com/adamant-db/adamant/internal/vclock"
 )
 
 // Pseudo-primitive names for catalog entries that are not kernels: the
-// host-to-device and device-to-host links, and whole-query rates per
-// execution model (PrimQueryPrefix + Model.String()).
+// host-to-device and device-to-host links, and whole-query rates
+// (PrimQueryPrefix + model + "/" + plan shape).
 const (
 	PrimH2D         = "__h2d"
 	PrimD2H         = "__d2h"
@@ -186,51 +187,19 @@ func (c *Catalog) Keys() []Key {
 	return keys
 }
 
-// ObserveSpans feeds a query's trace into the catalog: every kernel span
-// becomes a per-primitive rate sample (input Units as the work done —
-// fused kernels carry their own labels, so fused plans get their own
-// entries automatically), and every transfer span a link-rate sample
-// (bytes as units). Allocation and annotation spans carry no rate
-// information and are skipped.
-func (c *Catalog) ObserveSpans(spans []trace.Span) {
-	if c == nil {
-		return
-	}
-	for i := range spans {
-		s := &spans[i]
-		switch s.Kind {
-		case trace.KindKernel:
-			units := s.Units
-			if units < 1 {
-				units = s.Rows // older recorders: output rows beat nothing
-			}
-			if units < 1 {
-				units = 1
-			}
-			c.Observe(Key{s.Label, s.Device, BucketOf(units)}, units, s.Duration())
-		case trace.KindH2D:
-			if s.Bytes > 0 {
-				c.Observe(Key{PrimH2D, s.Device, BucketOf(s.Bytes)}, s.Bytes, s.Duration())
-			}
-		case trace.KindD2H:
-			if s.Bytes > 0 {
-				c.Observe(Key{PrimD2H, s.Device, BucketOf(s.Bytes)}, s.Bytes, s.Duration())
-			}
-		}
-	}
-}
-
-// ObserveQuery records a whole-query rate for one (model, driver) pair:
-// elapsed virtual time over the query's input rows. These entries let the
-// planner prefer configurations it has actually run over compositional
-// estimates.
-func (c *Catalog) ObserveQuery(model, driver string, rows int64, elapsed vclock.Duration) {
-	if c == nil {
-		return
-	}
+// ObserveQuery records a whole-query rate for one cell — an execution
+// model on a driver, for one plan shape (graph.Fingerprint) at one size
+// bucket of its dominant input: elapsed virtual time over those rows. The
+// planner rehearses exactly the cells it cannot find here.
+func (c *Catalog) ObserveQuery(model, driver, shape string, rows int64, elapsed vclock.Duration) {
 	units := rows
 	if units < 1 {
 		units = 1
 	}
-	c.Observe(Key{PrimQueryPrefix + model, driver, BucketOf(rows)}, units, elapsed)
+	c.Observe(queryKey(model, driver, shape, rows), units, elapsed)
+}
+
+// queryKey is the catalog key of one whole-query cell.
+func queryKey(model, driver, shape string, rows int64) Key {
+	return Key{PrimQueryPrefix + model + "/" + shape, driver, BucketOf(rows)}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/adamant-db/adamant/internal/trace"
 	"github.com/adamant-db/adamant/internal/vclock"
 )
 
@@ -149,50 +148,19 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
-func TestObserveSpans(t *testing.T) {
-	c := New()
-	spans := []trace.Span{
-		// A kernel with input units: rate normalizes by the work done.
-		{Kind: trace.KindKernel, Label: "filter", Device: "d", Units: 1024, Rows: 10,
-			Start: 0, End: vclock.Time(2048)},
-		// A kernel with only output rows (older recorders): Rows beats nothing.
-		{Kind: trace.KindKernel, Label: "agg", Device: "d", Rows: 4,
-			Start: 0, End: vclock.Time(40)},
-		// Transfers key on bytes.
-		{Kind: trace.KindH2D, Label: "x", Device: "d", Bytes: 4096, Start: 0, End: vclock.Time(4096)},
-		{Kind: trace.KindD2H, Label: "x", Device: "d", Bytes: 512, Start: 0, End: vclock.Time(1024)},
-		// Byteless transfers and non-rate spans are skipped.
-		{Kind: trace.KindH2D, Label: "x", Device: "d", Bytes: 0},
-		{Kind: trace.KindAlloc, Label: "x", Device: "d", Bytes: 64},
-		{Kind: trace.KindAutoPlan, Label: "note"},
-	}
-	c.ObserveSpans(spans)
-	if e, ok := c.Lookup(Key{"filter", "d", BucketOf(1024)}); !ok || e.NsPerUnit != 2 {
-		t.Fatalf("kernel units entry: %+v ok=%v", e, ok)
-	}
-	if e, ok := c.Lookup(Key{"agg", "d", BucketOf(4)}); !ok || e.NsPerUnit != 10 {
-		t.Fatalf("kernel rows fallback entry: %+v ok=%v", e, ok)
-	}
-	if e, ok := c.Lookup(Key{PrimH2D, "d", BucketOf(4096)}); !ok || e.NsPerUnit != 1 {
-		t.Fatalf("h2d entry: %+v ok=%v", e, ok)
-	}
-	if e, ok := c.Lookup(Key{PrimD2H, "d", BucketOf(512)}); !ok || e.NsPerUnit != 2 {
-		t.Fatalf("d2h entry: %+v ok=%v", e, ok)
-	}
-	if c.Len() != 4 {
-		t.Fatalf("catalog len %d, want 4", c.Len())
-	}
-}
-
 func TestObserveQuery(t *testing.T) {
 	c := New()
-	c.ObserveQuery("chunked", "d", 1000, vclock.Duration(5000))
-	if e, ok := c.Lookup(Key{PrimQueryPrefix + "chunked", "d", BucketOf(1000)}); !ok || e.NsPerUnit != 5 {
+	c.ObserveQuery("chunked", "d", "s1t1-FILTER1/00", 1000, vclock.Duration(5000))
+	if e, ok := c.Lookup(Key{PrimQueryPrefix + "chunked/s1t1-FILTER1/00", "d", BucketOf(1000)}); !ok || e.NsPerUnit != 5 {
 		t.Fatalf("query entry: %+v ok=%v", e, ok)
 	}
 	// Zero rows still records (bucket 0, one unit).
-	c.ObserveQuery("oaat", "d", 0, vclock.Duration(7))
-	if e, ok := c.Lookup(Key{PrimQueryPrefix + "oaat", "d", 0}); !ok || e.NsPerUnit != 7 {
+	c.ObserveQuery("oaat", "d", "s", 0, vclock.Duration(7))
+	if e, ok := c.Lookup(Key{PrimQueryPrefix + "oaat/s", "d", 0}); !ok || e.NsPerUnit != 7 {
 		t.Fatalf("zero-row query entry: %+v ok=%v", e, ok)
+	}
+	// The shape is part of the key: another plan's rate is not this one's.
+	if _, ok := c.Lookup(queryKey("chunked", "d", "other", 1000)); ok {
+		t.Fatal("rate found under another shape")
 	}
 }

@@ -2,29 +2,28 @@ package cost
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/adamant-db/adamant/internal/device"
 	"github.com/adamant-db/adamant/internal/exec"
 	"github.com/adamant-db/adamant/internal/graph"
 	"github.com/adamant-db/adamant/internal/hub"
-	"github.com/adamant-db/adamant/internal/place"
 	"github.com/adamant-db/adamant/internal/vclock"
 )
 
-// Model-shape constants for the cold compositional predictions: the
-// per-chunk bookkeeping the chunked models pay, the per-chunk thread
-// handshake the overlapped models pay, and the effective transfer discount
-// of pinned staging.
-const (
-	perChunkOverhead = 20 * vclock.Microsecond
-	perChunkSync     = 5 * vclock.Microsecond
-	pinnedFactor     = 0.6
-)
+// Candidate is one device the planner may choose: its ID on the live
+// runtime and a constructor for fresh instances of the same device.
+// Rehearsals run on an instance from New, never on the live device, so
+// planning advances no live timeline and touches no live memory.
+type Candidate struct {
+	ID  device.ID
+	New func() device.Device
+}
 
 // PlanOptions configures one planning pass.
 type PlanOptions struct {
-	// Candidates are the devices the placer may choose from. Required.
-	Candidates []device.ID
+	// Candidates are the devices the planner may choose from. Required.
+	Candidates []Candidate
 	// MaxChunk caps the initial chunk size (default exec.DefaultChunkElems).
 	MaxChunk int
 	// MinChunk floors it (default exec.DefaultMinChunkElems).
@@ -64,17 +63,23 @@ type Decision struct {
 	ChunkElems int
 	// MaxChunk bounds what the mid-query re-planner may grow the chunk
 	// to (the memory-fit ceiling computed at plan time).
-	MaxChunk   int
-	Placements []place.Decision
-	// Device and Driver name the primary device: the one carrying the
-	// dominant (most scan rows) pipeline.
+	MaxChunk int
+	// Device and Driver name the device every pipeline is placed on.
 	Device device.ID
 	Driver string
-	// Rows is the dominant pipeline's input cardinality.
-	Rows int64
-	// Predicted is the planner's cost estimate for the chosen config.
+	// Shape is the plan's graph.Fingerprint and Rows its dominant (most
+	// scan rows) pipeline's input cardinality: with Model and Driver, the
+	// catalog key a finished run feeds through ObserveQuery.
+	Shape string
+	Rows  int64
+	// Predicted is the chosen cell's whole-query virtual time as the
+	// catalog holds it: a rehearsal's elapsed time, EWMA-blended with the
+	// real runs observed since.
 	Predicted vclock.Duration
-	Notes     []string
+	// Rehearsals counts the (device, model) cells this pass ran because
+	// the catalog lacked them; zero when the plan came from the catalog.
+	Rehearsals int
+	Notes      []string
 }
 
 // Planner plans queries from a catalog.
@@ -85,202 +90,142 @@ type Planner struct {
 // NewPlanner returns a planner over the given catalog.
 func NewPlanner(c *Catalog) *Planner { return &Planner{Catalog: c} }
 
-// catalogCoster adapts the catalog to place.Coster: measured per-primitive
-// and per-link rates where the catalog has them, the analytic model where
-// it does not.
-type catalogCoster struct{ c *Catalog }
-
-func (cc catalogCoster) EstimatePipeline(g *graph.Graph, p *graph.Pipeline, id device.ID, dev device.Device) (place.Estimate, error) {
-	info := dev.Info()
-	est := place.Estimate{Pipeline: p.Index, Device: id}
-
-	var scanBytes int64
-	for _, sid := range p.Scans {
-		scanBytes += g.Node(sid).Scan.Data.Bytes()
-	}
-	if scanBytes > 0 && !info.HostResident {
-		if e, ok := cc.c.Nearest(Key{PrimH2D, info.Name, BucketOf(scanBytes)}); ok {
-			est.Transfer = vclock.Duration(e.NsPerUnit * float64(scanBytes))
-		} else {
-			est.Transfer = place.ProbeTransferCost(dev, scanBytes)
-		}
-	}
-
-	rows := int64(p.ScanRows(g))
-	units := rows
-	if units < 1 {
-		units = 1
-	}
-	for _, nid := range p.Nodes {
-		n := g.Node(nid)
-		if e, ok := cc.c.Nearest(Key{n.Task.Kernel, info.Name, BucketOf(rows)}); ok {
-			est.Compute += vclock.Duration(e.NsPerUnit * float64(units))
-		} else {
-			est.Compute += place.KernelEstimate(dev, n.Task.Kernel, rows)
-		}
-	}
-	return est, nil
-}
-
-// Plan picks device placement, execution model, and initial chunk size for
-// the graph, annotating the graph's nodes with the chosen devices (like
-// place.Greedy) and returning the full decision. Predictions are two-tier:
-// whole-query rates measured for a (model, driver) pair override the cold
-// compositional estimate built from per-primitive rates, and if some
-// (model, device) pair has a measured rate that beats the greedy placement's
-// prediction, the whole query moves there — a fully warmed catalog plans
-// straight onto the fastest cell it has seen. All ties break in enum /
-// candidate order, so planning is deterministic.
+// Plan picks the device, execution model, and initial chunk size for the
+// graph, places every node on the chosen device, and returns the decision.
+// Every (candidate, model) cell is priced by its whole-query rate in the
+// catalog; a missing cell is rehearsed first — the graph runs under that
+// model on a fresh instance of the candidate, and its elapsed virtual time
+// enters the catalog. The fastest cell wins, ties breaking in candidate and
+// enum order. A cell whose rehearsal fails (say, out of memory) is not a
+// candidate; if every cell fails, Plan returns the last error.
 func (pl *Planner) Plan(g *graph.Graph, rt *hub.Runtime, opts PlanOptions) (*Decision, error) {
 	if len(opts.Candidates) == 0 {
 		return nil, fmt.Errorf("cost: no candidate devices")
-	}
-	placements, err := place.GreedyWith(g, rt, opts.Candidates, catalogCoster{pl.Catalog})
-	if err != nil {
-		return nil, err
 	}
 	pipelines, err := g.BuildPipelines()
 	if err != nil {
 		return nil, err
 	}
-
-	d := &Decision{Placements: placements}
-
-	// The primary device carries the dominant pipeline: model choice and
-	// whole-query rates key on it.
-	var transfer, compute vclock.Duration
-	var maxRows int64
+	d := &Decision{Shape: graph.Fingerprint(g)}
 	for i, p := range pipelines {
-		rows := int64(p.ScanRows(g))
-		dec := placements[i]
-		var chosen place.Estimate
-		for _, e := range dec.Estimates {
-			if e.Device == dec.Chosen {
-				chosen = e
-				break
-			}
+		if rows := int64(p.ScanRows(g)); i == 0 || rows > d.Rows {
+			d.Rows = rows
 		}
-		transfer += chosen.Transfer
-		compute += chosen.Compute
-		if i == 0 || rows > maxRows {
-			maxRows = rows
-			d.Device = dec.Chosen
-		}
-		drv, err := driverName(rt, dec.Chosen)
-		if err != nil {
-			return nil, err
-		}
-		d.Notes = append(d.Notes, fmt.Sprintf(
-			"place pipeline %d on %s (transfer %v, compute %v)",
-			p.Index, drv, chosen.Transfer, chosen.Compute))
 	}
-	d.Rows = maxRows
-	if d.Driver, err = driverName(rt, d.Device); err != nil {
-		return nil, err
+	units := d.Rows
+	if units < 1 {
+		units = 1
 	}
 
-	// Tier 1: pick the model by predicted cost on the primary device —
-	// measured whole-query rates where available, cold composition
-	// otherwise.
-	chunks := chunkCount(maxRows, opts.maxChunk())
-	bestSource := ""
-	for _, m := range exec.Models() {
-		pred, source := pl.predictModel(m, d.Driver, maxRows, transfer, compute, chunks)
-		if bestSource == "" || pred < d.Predicted {
-			d.Model, d.Predicted, bestSource = m, pred, source
-		}
+	placed := make([]device.ID, len(g.Nodes()))
+	for i, n := range g.Nodes() {
+		placed[i] = n.Device
 	}
-
-	// Tier 2: a measured whole-query rate on another device that beats the
-	// greedy prediction moves the entire query there.
+	found, failed := false, 0
+	var lastErr error
 	for _, cand := range opts.Candidates {
-		drv, err := driverName(rt, cand)
+		drv, err := driverName(rt, cand.ID)
 		if err != nil {
-			return nil, err
+			return nil, restore(g, placed, err)
 		}
+		var scratch *hub.Runtime
 		for _, m := range exec.Models() {
-			e, ok := pl.Catalog.Nearest(Key{PrimQueryPrefix + m.String(), drv, BucketOf(maxRows)})
+			k := queryKey(m.String(), drv, d.Shape, d.Rows)
+			if _, ok := pl.Catalog.Lookup(k); !ok {
+				if scratch == nil {
+					if scratch, err = rehearsalRuntime(g, cand); err != nil {
+						return nil, restore(g, placed, err)
+					}
+				}
+				d.Rehearsals++
+				elapsed, err := pl.rehearse(g, scratch, m, d.Rows, opts)
+				if err != nil {
+					failed++
+					lastErr = err
+					continue
+				}
+				pl.Catalog.Observe(k, units, elapsed)
+			}
+			e, ok := pl.Catalog.Lookup(k)
 			if !ok {
 				continue
 			}
-			units := maxRows
-			if units < 1 {
-				units = 1
-			}
-			pred := vclock.Duration(e.NsPerUnit * float64(units))
-			if pred < d.Predicted {
-				d.Model, d.Predicted, bestSource = m, pred, "measured"
-				d.Device, d.Driver = cand, drv
+			if pred := vclock.Duration(math.Round(e.NsPerUnit * float64(units))); !found || pred < d.Predicted {
+				found = true
+				d.Model, d.Device, d.Driver, d.Predicted = m, cand.ID, drv, pred
 			}
 		}
 	}
+	if !found {
+		return nil, restore(g, placed, lastErr)
+	}
+	placeAll(g, d.Device)
 
-	// A measured whole-query rate was observed with every pipeline on one
-	// device; reproducing it means reproducing that placement, even when the
-	// greedy pass scattered pipelines across devices.
-	if bestSource == "measured" {
-		moved := false
-		for i := range placements {
-			if placements[i].Chosen != d.Device {
-				placements[i].Chosen = d.Device
-				moved = true
-			}
-		}
-		for _, p := range pipelines {
-			for _, nid := range p.Nodes {
-				g.Node(nid).Device = d.Device
-			}
-			for _, sid := range p.Scans {
-				g.Node(sid).Device = d.Device
-			}
-		}
-		if moved {
-			d.Notes = append(d.Notes, fmt.Sprintf("re-place all pipelines on %s (measured)", d.Driver))
-		}
+	source := "catalog"
+	if d.Rehearsals > 0 {
+		source = "rehearsed"
+		d.Notes = append(d.Notes, fmt.Sprintf("rehearse %d cells on fresh instances (%d failed)", d.Rehearsals, failed))
 	}
-	d.Notes = append(d.Notes, fmt.Sprintf("model %v (predicted %v, %s)", d.Model, d.Predicted, bestSource))
+	d.Notes = append(d.Notes, fmt.Sprintf("model %v on %s (measured %v, %s)", d.Model, d.Driver, d.Predicted, source))
 
 	// Chunk size: as large as the memory budget allows, never above the
-	// input, never below the floor.
-	d.ChunkElems, d.MaxChunk, err = pl.chunkFor(g, rt, d.Model, maxRows, opts)
+	// input, never below the floor — the same rule the rehearsal ran under.
+	d.ChunkElems, d.MaxChunk, err = pl.chunkFor(g, rt, d.Model, d.Rows, opts)
 	if err != nil {
 		return nil, err
 	}
-	d.Notes = append(d.Notes, fmt.Sprintf("chunk %d (rows %d, ceiling %d)", d.ChunkElems, maxRows, d.MaxChunk))
+	d.Notes = append(d.Notes, fmt.Sprintf("chunk %d (rows %d, ceiling %d)", d.ChunkElems, d.Rows, d.MaxChunk))
 	return d, nil
 }
 
-// predictModel prices one execution model: a measured whole-query rate for
-// (model, driver) when the catalog has one, otherwise the cold
-// compositional estimate from the placement's transfer/compute totals.
-func (pl *Planner) predictModel(m exec.Model, driver string, rows int64, transfer, compute vclock.Duration, chunks int64) (vclock.Duration, string) {
-	if e, ok := pl.Catalog.Nearest(Key{PrimQueryPrefix + m.String(), driver, BucketOf(rows)}); ok {
-		units := rows
-		if units < 1 {
-			units = 1
-		}
-		return vclock.Duration(e.NsPerUnit * float64(units)), "measured"
+// rehearsalRuntime registers one fresh instance of the candidate on a
+// runtime of its own and places every node of g on it. The instance is
+// never fault-wrapped and never shares a buffer pool, so a rehearsal
+// prices the plan on the device model alone.
+func rehearsalRuntime(g *graph.Graph, cand Candidate) (*hub.Runtime, error) {
+	if cand.New == nil {
+		return nil, fmt.Errorf("cost: candidate device %d has no constructor to rehearse on", cand.ID)
 	}
-	return coldModel(m, transfer, compute, chunks), "analytic"
+	rt := hub.NewRuntime()
+	id, err := rt.Register(cand.New())
+	if err != nil {
+		return nil, err
+	}
+	placeAll(g, id)
+	return rt, nil
 }
 
-// coldModel composes a whole-query estimate from per-pipeline transfer and
-// compute totals under each model's shape: serial vs overlapped, pageable
-// vs pinned staging, per-chunk bookkeeping vs per-chunk handshakes.
-func coldModel(m exec.Model, transfer, compute vclock.Duration, chunks int64) vclock.Duration {
-	pinnedT := vclock.Duration(pinnedFactor * float64(transfer))
-	switch m {
-	case exec.OperatorAtATime:
-		return transfer + compute
-	case exec.Chunked:
-		return transfer + compute + vclock.Duration(chunks)*perChunkOverhead
-	case exec.Pipelined:
-		return maxDur(transfer, compute) + vclock.Duration(chunks)*perChunkSync
-	case exec.FourPhaseChunked:
-		return pinnedT + compute + vclock.Duration(chunks)*perChunkOverhead
-	default: // exec.FourPhasePipelined
-		return maxDur(pinnedT, compute) + vclock.Duration(chunks)*perChunkSync
+// rehearse runs g, already placed on the rehearsal runtime, exactly as an
+// auto-planned run would: under model m, at the chunk the memory-fit rule
+// picks, with the drift re-planner armed. It returns the elapsed virtual
+// time.
+func (pl *Planner) rehearse(g *graph.Graph, rt *hub.Runtime, m exec.Model, rows int64, opts PlanOptions) (vclock.Duration, error) {
+	chunk, ceiling, err := pl.chunkFor(g, rt, m, rows, opts)
+	if err != nil {
+		return 0, err
 	}
+	cell := Decision{ChunkElems: chunk, MaxChunk: ceiling}
+	res, err := exec.Run(rt, g, exec.Options{Model: m, ChunkElems: chunk, Replan: cell.Replan()})
+	if err != nil {
+		return 0, err
+	}
+	return res.Stats.Elapsed, nil
+}
+
+// placeAll annotates every node of g with one device.
+func placeAll(g *graph.Graph, id device.ID) {
+	for _, n := range g.Nodes() {
+		n.Device = id
+	}
+}
+
+// restore puts g's nodes back on the devices they had before planning and
+// passes err through.
+func restore(g *graph.Graph, placed []device.ID, err error) error {
+	for i, n := range g.Nodes() {
+		n.Device = placed[i]
+	}
+	return err
 }
 
 // chunkFor sizes the initial chunk: start from the smaller of the cap and
@@ -362,20 +307,6 @@ func driverName(rt *hub.Runtime, id device.ID) (string, error) {
 		return "", err
 	}
 	return dev.Info().Name, nil
-}
-
-func chunkCount(rows int64, chunk int) int64 {
-	if rows <= 0 || chunk <= 0 {
-		return 1
-	}
-	return (rows + int64(chunk) - 1) / int64(chunk)
-}
-
-func maxDur(a, b vclock.Duration) vclock.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func align64(n int) int {

@@ -182,6 +182,34 @@ func everyRow(tabs []*reportTable, prefix, col string, ok func(float64) bool) er
 
 func aboveOne(v float64) bool { return v > 1 }
 
+// autoRows fails unless every row of the auto planner table for the given
+// catalog state is within bound of the best manual cell and, when
+// rehearsals >= 0, ran exactly that many rehearsals.
+func autoRows(tabs []*reportTable, catalog string, bound float64, rehearsals int) error {
+	found, err := titled(tabs, "Auto planner")
+	if err != nil {
+		return err
+	}
+	t, n := found[0], 0
+	for _, r := range t.rows {
+		if t.cell(r, "catalog") != catalog {
+			continue
+		}
+		n++
+		what := t.cell(r, "query") + " SF " + t.cell(r, "SF") + " " + catalog
+		if !(t.num(r, "vs best") <= bound) {
+			return fmt.Errorf("%s: %q of the best manual cell", what, t.cell(r, "vs best"))
+		}
+		if rehearsals >= 0 && t.num(r, "rehearsals") != float64(rehearsals) {
+			return fmt.Errorf("%s: %q rehearsals, want %d", what, t.cell(r, "rehearsals"), rehearsals)
+		}
+	}
+	if n == 0 {
+		return fmt.Errorf("no %s rows", catalog)
+	}
+	return nil
+}
+
 // claim is one qualitative finding over the tables of one generator.
 type claim struct {
 	exp   string
@@ -274,6 +302,12 @@ var claims = []claim{
 			}
 		}
 		return nil
+	}},
+	{"auto", "auto: a cold plan lands within 2% of the best manual cell", func(tabs []*reportTable) error {
+		return autoRows(tabs, "cold", 1.02, -1)
+	}},
+	{"auto", "auto: a warm plan lands within 5% of the best manual cell and rehearses nothing", func(tabs []*reportTable) error {
+		return autoRows(tabs, "warm", 1.05, 0)
 	}},
 	{"cache", "cache: warm runs ship no H2D bytes", func(tabs []*reportTable) error {
 		return everyRow(tabs, "Cache warm", "H2D MiB", func(v float64) bool { return v == 0 })
@@ -383,6 +417,12 @@ func TestClaimsCatchInversions(t *testing.T) {
 			[]string{"query", "Q6", "driver", "CUDA"}, "4p-pipelined", "0.0200"},
 		{"Fig. 11: 4p-pipelined beats chunked, except OpenCL Q4", "Figure 11",
 			[]string{"query", "Q4", "driver", "OpenCL"}, "best vs chunked", "1.20x"},
+		{"auto: a cold plan lands within 2% of the best manual cell", "Auto planner",
+			[]string{"query", "Q1", "catalog", "cold"}, "vs best", "4.12x"},
+		{"auto: a warm plan lands within 5% of the best manual cell and rehearses nothing", "Auto planner",
+			[]string{"query", "Q3", "catalog", "warm"}, "vs best", "1.10x"},
+		{"auto: a warm plan lands within 5% of the best manual cell and rehearses nothing", "Auto planner",
+			[]string{"query", "Q6", "catalog", "warm"}, "rehearsals", "20"},
 		{"cache: warm runs ship no H2D bytes", "Cache warm",
 			[]string{"model", "chunked"}, "H2D MiB", "0.1"},
 		{"cache: warm runs beat cold ones", "Cache warm",

@@ -142,23 +142,23 @@ type rig struct {
 	oclGPU device.ID
 	oclCPU device.ID
 	omp    device.ID
+	// makers builds fresh instances of the four devices, in ID order: the
+	// auto planner rehearses on them.
+	makers []func() device.Device
 }
 
 func newRig(setup simhw.Setup) (*rig, error) {
-	rt := hub.NewRuntime()
-	r := &rig{rt: rt}
-	var err error
-	if r.cuda, err = rt.Register(simcuda.New(&setup.GPU, nil)); err != nil {
-		return nil, err
-	}
-	if r.oclGPU, err = rt.Register(simopencl.NewGPU(&setup.GPU, nil)); err != nil {
-		return nil, err
-	}
-	if r.oclCPU, err = rt.Register(simopencl.NewCPU(&setup.CPU, nil)); err != nil {
-		return nil, err
-	}
-	if r.omp, err = rt.Register(simomp.New(&setup.CPU, nil)); err != nil {
-		return nil, err
+	r := &rig{rt: hub.NewRuntime(), makers: []func() device.Device{
+		func() device.Device { return simcuda.New(&setup.GPU, nil) },
+		func() device.Device { return simopencl.NewGPU(&setup.GPU, nil) },
+		func() device.Device { return simopencl.NewCPU(&setup.CPU, nil) },
+		func() device.Device { return simomp.New(&setup.CPU, nil) },
+	}}
+	for i, id := range []*device.ID{&r.cuda, &r.oclGPU, &r.oclCPU, &r.omp} {
+		var err error
+		if *id, err = r.rt.Register(r.makers[i]()); err != nil {
+			return nil, err
+		}
 	}
 	return r, nil
 }

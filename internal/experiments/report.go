@@ -83,6 +83,11 @@ func millis(d vclock.Duration) string {
 	return fmt.Sprintf("%.3f", d.Seconds()*1e3)
 }
 
+// micros formats a virtual duration as microseconds.
+func micros(d vclock.Duration) string {
+	return fmt.Sprintf("%.1f", d.Seconds()*1e6)
+}
+
 // gbps formats a bandwidth given bytes and a duration.
 func gbps(bytes int64, d vclock.Duration) string {
 	if d <= 0 {

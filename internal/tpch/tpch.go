@@ -20,6 +20,7 @@ package tpch
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"github.com/adamant-db/adamant/internal/storage"
 	"github.com/adamant-db/adamant/internal/vec"
@@ -212,34 +213,30 @@ func (d *Dataset) LogicalRows(table string) int64 {
 }
 
 // QueryColumns lists the columns each evaluated query scans, as
-// table/column pairs, for the input-size analysis of Figure 7.
+// table/column pairs in plan order, for the input-size analysis of Figure
+// 7: the scan set of the plan BuildQuery lowers from the query's SQL text,
+// so it is what the engine reads. Only the schema matters, so the plan is
+// built over a tiny dataset.
 func QueryColumns(q string) ([][2]string, error) {
-	switch q {
-	case "Q1":
-		return [][2]string{
-			{"lineitem", "l_shipdate"}, {"lineitem", "l_rfls"}, {"lineitem", "l_quantity"},
-			{"lineitem", "l_extendedprice"}, {"lineitem", "l_discount"},
-		}, nil
-	case "Q3":
-		return [][2]string{
-			{"customer", "c_mktsegment"}, {"customer", "c_custkey"},
-			{"orders", "o_orderdate"}, {"orders", "o_custkey"}, {"orders", "o_orderkey"},
-			{"lineitem", "l_orderkey"}, {"lineitem", "l_shipdate"},
-			{"lineitem", "l_extendedprice"}, {"lineitem", "l_discount"},
-		}, nil
-	case "Q4":
-		return [][2]string{
-			{"lineitem", "l_commitdate"}, {"lineitem", "l_receiptdate"}, {"lineitem", "l_orderkey"},
-			{"orders", "o_orderdate"}, {"orders", "o_orderkey"}, {"orders", "o_orderpriority"},
-		}, nil
-	case "Q6":
-		return [][2]string{
-			{"lineitem", "l_shipdate"}, {"lineitem", "l_discount"},
-			{"lineitem", "l_quantity"}, {"lineitem", "l_extendedprice"},
-		}, nil
-	default:
-		return nil, fmt.Errorf("tpch: unknown query %q", q)
+	d, err := Generate(Config{SF: 1, Ratio: 1.0 / 65536})
+	if err != nil {
+		return nil, err
 	}
+	g, err := BuildQuery(q, d, 0)
+	if err != nil {
+		return nil, err
+	}
+	var cols [][2]string
+	seen := map[string]bool{}
+	for _, n := range g.Nodes() {
+		if !n.IsScan() || seen[n.Scan.Name] {
+			continue
+		}
+		seen[n.Scan.Name] = true
+		table, col, _ := strings.Cut(n.Scan.Name, ".")
+		cols = append(cols, [2]string{table, col})
+	}
+	return cols, nil
 }
 
 // QueryInputBytes reports the logical (unscaled) bytes a query's scanned

@@ -6,7 +6,6 @@ import (
 
 	"github.com/adamant-db/adamant/internal/graph"
 	"github.com/adamant-db/adamant/internal/kernels"
-	"github.com/adamant-db/adamant/internal/place"
 	"github.com/adamant-db/adamant/internal/task"
 	"github.com/adamant-db/adamant/internal/vec"
 )
@@ -319,18 +318,6 @@ func (p *Plan) GroupResults(table Port, maxGroups int) (keys, aggs Port) {
 func (p *Plan) SortedGroupSum(keys, values, groupIndex Port, maxGroups int) (gk, ga Port) {
 	k := p.addTask(task.NewSortAgg(kernels.AggSum, maxGroups, "sort agg"), keys, values, groupIndex)
 	return k, p.secondOutput(k)
-}
-
-// AutoPlace re-annotates the plan's pipelines with the cheapest of the
-// given devices, using the cost-based placer: streamed transfer cost plus
-// analytic kernel estimates per pipeline. Call it after the plan is fully
-// built and before Execute.
-func (p *Plan) AutoPlace(eng *Engine, devices ...DeviceID) error {
-	if err := p.err(); err != nil {
-		return err
-	}
-	_, err := place.Greedy(p.g, eng.rt, devices)
-	return err
 }
 
 // Return names a port as a query result to retrieve to the host.

@@ -11,6 +11,18 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
 	echo "ci: internal/kernels prices launches itself; declare simhw.Traffic and let SDKProfile.Price apply the SDK" >&2
 	exit 1
 fi
+# The auto planner prices plans by rehearsing them on the simulator, never
+# by a cost model of its own: no ns-per-byte, ns-per-row or per-chunk cost
+# constant in internal/cost, and the analytic placer stays deleted.
+if grep -rnEi --include='*.go' --exclude='*_test.go' \
+	'ns_?per_?(byte|row)|per_?chunk|[0-9] *\* *vclock\.(nano|micro|milli)second' internal/cost; then
+	echo "ci: internal/cost carries a hand-set cost constant; rehearse the plan on the simulator instead" >&2
+	exit 1
+fi
+if grep -rn --include='*.go' '"github.com/adamant-db/adamant/internal/place"' .; then
+	echo "ci: internal/place was deleted; the auto planner in internal/cost places queries" >&2
+	exit 1
+fi
 go test -race ./...
 # The concurrency/resilience chaos soak must always run race-enabled, even
 # if the line above is ever narrowed or switched to -short.
@@ -119,16 +131,20 @@ echo "ci: warm-cache golden trace OK"
 go test -run '^TestGoldenTraceFused' .
 echo "ci: fused golden traces OK"
 
-# Auto-mode golden traces: calibration, planning and the decision spans
+# Auto-mode golden traces: rehearsal, planning and the decision spans
 # must stay pinned against testdata/traces/*-auto-*.txt.
 go test -run '^TestGoldenTraceAuto' .
 echo "ci: auto golden traces OK"
 
-# Auto-mode smoke: -auto must calibrate, print its plan, and answer
-# correctly end to end.
+# Auto-mode smoke: -auto must rehearse the query on fresh device
+# instances, print its plan, and answer correctly end to end.
 "$tracedir/adamant-run" -q Q6 -ratio 0.000244140625 -auto >"$tracedir/auto.txt"
 grep -q '^auto plan: model=' "$tracedir/auto.txt" || {
 	echo "ci: adamant-run -auto printed no plan" >&2
+	exit 1
+}
+grep -q '^  plan  *rehearse [0-9]* cells' "$tracedir/auto.txt" || {
+	echo "ci: adamant-run -auto printed no rehearsal note" >&2
 	exit 1
 }
 echo "ci: adamant-run -auto smoke OK"

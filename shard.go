@@ -74,8 +74,8 @@ const (
 // robustness options — deadlines apply per shard on its own clocks, fault
 // plans are replicated with per-shard seeds so shards fault independently,
 // and in-shard retry/failover/degradation work unchanged — but not with
-// WithAutoPlan (the auto planner's calibration and catalog are
-// per-runtime; combining them fails at Plug/Execute).
+// WithAutoPlan (the auto planner's catalog is per-runtime; combining them
+// fails at Plug/Execute).
 func WithShards(n int) EngineOption {
 	return func(c *engineConfig) { c.shards = n }
 }

@@ -178,8 +178,8 @@ func (e *Engine) collectTelemetry() {
 	for ty, n := range t.sink.Totals() {
 		t.events.Set(float64(n), string(ty))
 	}
-	if e.catalog != nil {
-		t.autoplanEntries.Set(float64(e.catalog.Len()))
+	if c := e.CostCatalog(); c != nil {
+		t.autoplanEntries.Set(float64(c.Len()))
 	}
 	if e.pool != nil {
 		cs := e.pool.Stats()
